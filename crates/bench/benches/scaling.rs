@@ -13,7 +13,9 @@
 use criterion::{BenchmarkId, Criterion, criterion_group, criterion_main};
 use crowd_core::baselines::{DawidSkene, OldTechnique};
 use crowd_core::pairing::PairingStrategy;
-use crowd_core::{EstimatorConfig, KaryEstimator, MWorkerEstimator, ThreeWorkerEstimator};
+use crowd_core::{
+    Assessment, EstimatorConfig, KaryEstimator, MWorkerEstimator, ThreeWorkerEstimator,
+};
 use crowd_data::WorkerId;
 use crowd_sim::{BinaryScenario, KaryScenario, rng};
 use std::hint::black_box;

@@ -13,7 +13,7 @@
 //! against the naive reference — the speedup claims below are only
 //! meaningful because the substrates agree exactly.
 
-use crowd_core::{EstimatorConfig, MWorkerEstimator, WorkerReport};
+use crowd_core::{Assessment, EstimatorConfig, MWorkerEstimator, WorkerReport};
 use crowd_sim::{BinaryScenario, rng};
 use std::time::Instant;
 

@@ -110,7 +110,7 @@ fn recovery_run(
         .with_checkpoint_interval(checkpoint_interval)
         .with_max_recoveries(1024)
         .with_fault(Arc::new(plan));
-    let mut service = spawn_fleet(data, n_shards, config);
+    let service = spawn_fleet(data, n_shards, config);
     let start = Instant::now();
     for batch in batches {
         service.ingest_batch(batch).expect("supervised ingest");
@@ -180,7 +180,7 @@ fn main() {
 
     // The never-crashed twin: the reference bytes every faulted run
     // must reproduce, and the zero-fault throughput baseline.
-    let mut twin = spawn_fleet(
+    let twin = spawn_fleet(
         data,
         n_shards,
         ServiceConfig::default().with_checkpoint_interval(checkpoint_interval),
@@ -243,7 +243,7 @@ fn main() {
     let wire_responses: usize = wire_batches.iter().map(Vec::len).sum();
     let drop_rate = 5e-3;
     let service = spawn_fleet(data, n_shards, ServiceConfig::default());
-    let mut local_twin = spawn_fleet(data, n_shards, ServiceConfig::default());
+    let local_twin = spawn_fleet(data, n_shards, ServiceConfig::default());
     let fault = Arc::new(
         FaultPlan::seeded(2711)
             .with_drop_rate(drop_rate)

@@ -26,7 +26,9 @@
 //! — the speedups below are only meaningful because the outputs agree
 //! exactly.
 
-use crowd_core::{EstimatorConfig, IncrementalEvaluator, MWorkerEstimator, WorkerReport};
+use crowd_core::{
+    Assessment, EstimatorConfig, IncrementalEvaluator, MWorkerEstimator, WorkerReport,
+};
 use crowd_data::{OverlapIndex, Response, ResponseMatrix};
 use crowd_sim::{BinaryScenario, rng};
 use std::time::Instant;

@@ -15,7 +15,7 @@
 //! `evaluate_all` twice over one shared [`OverlapIndex`]:
 //!
 //! * **peer-scoped arm** — the shipped
-//!   [`MWorkerEstimator::evaluate_all_indexed`]: every evaluation
+//!   [`crowd_core::Assessment::evaluate_all_indexed`]: every evaluation
 //!   builds its anchored view over the ≤ 2l peers the pairing
 //!   selected, into a reused scratch allocation;
 //! * **population arm** — the pre-PR-3 recipe, reconstructed through a
@@ -38,7 +38,9 @@
 //! that bounds every view at `O(l)` rows and makes fleet-scale memory
 //! track the pairing degree instead of the worker count.
 
-use crowd_core::{EstimatorConfig, IncrementalEvaluator, MWorkerEstimator, WorkerReport};
+use crowd_core::{
+    Assessment, EstimatorConfig, IncrementalEvaluator, MWorkerEstimator, WorkerReport,
+};
 use crowd_data::{BitsetAnchored, OverlapIndex, OverlapSource, PairStats, TripleStats, WorkerId};
 use crowd_sim::{BinaryScenario, rng};
 use std::time::Instant;

@@ -38,7 +38,7 @@
 //! state must undercut the dense table by ≥ 10× with total wall clock
 //! at parity or better (≤ 1.15× the unsharded run).
 
-use crowd_core::{EstimatorConfig, MWorkerEstimator, WorkerReport};
+use crowd_core::{Assessment, EstimatorConfig, MWorkerEstimator, WorkerReport};
 use crowd_data::{Label, OverlapIndex, ResponseMatrix, ResponseMatrixBuilder, TaskId, WorkerId};
 use crowd_shard::{ShardIndex, ShardPlan, ShardRunner, merge_reports};
 use std::time::Instant;

@@ -45,7 +45,8 @@
 //! id-scrambled community fleet (closures must shrink).
 
 use crowd_core::{
-    EstimatorConfig, IncrementalEvaluator, MWorkerEstimator, WorkerReport, parallel_index_map,
+    Assessment, EstimatorConfig, IncrementalEvaluator, MWorkerEstimator, WorkerReport,
+    parallel_index_map,
 };
 use crowd_data::{
     AnchoredOverlap, BitsetAnchored, Label, OverlapIndex, OverlapSource, PairStats, ResponseMatrix,

@@ -168,7 +168,7 @@ fn main() {
     let mut identity_checkpoints = 0usize;
     for &n_shards in &shard_counts {
         let plan = ShardPlan::build_clustered(&data, n_shards);
-        let mut service = AssessmentService::spawn(
+        let service = AssessmentService::spawn(
             plan,
             data.n_tasks(),
             data.arity(),
@@ -305,7 +305,7 @@ fn run_throughput(
     confidence: f64,
 ) -> ThroughputRow {
     let plan = ShardPlan::build_clustered(data, n_shards);
-    let mut service = AssessmentService::spawn(
+    let service = AssessmentService::spawn(
         plan,
         data.n_tasks(),
         data.arity(),
@@ -355,7 +355,7 @@ fn run_latency(
     confidence: f64,
 ) -> LatencyRow {
     let plan = ShardPlan::build_clustered(data, n_shards);
-    let mut service = AssessmentService::spawn(
+    let service = AssessmentService::spawn(
         plan,
         data.n_tasks(),
         data.arity(),

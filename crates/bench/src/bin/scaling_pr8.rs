@@ -229,8 +229,8 @@ fn main() {
                 .with_incremental(incremental),
         )
     };
-    let mut cached = spawn(true);
-    let mut full = spawn(false);
+    let cached = spawn(true);
+    let full = spawn(false);
 
     // Phase 1 — seed both services identically, warm the cache, gate.
     let start = Instant::now();

@@ -80,7 +80,7 @@ fn timed_ingest(
     n_shards: usize,
     config: ServiceConfig,
 ) -> (f64, AssessmentService) {
-    let mut service = AssessmentService::spawn(
+    let service = AssessmentService::spawn(
         ShardPlan::build_clustered(data, n_shards),
         data.n_tasks(),
         data.arity(),
@@ -133,7 +133,7 @@ fn main() {
     for run in 0..runs {
         for instrumented in [false, true] {
             let config = ServiceConfig::default().with_metrics(instrumented);
-            let (ingest_ms, mut service) = timed_ingest(data, &batches, n_shards, config);
+            let (ingest_ms, service) = timed_ingest(data, &batches, n_shards, config);
             let throughput_rps = data.n_responses() as f64 / (ingest_ms / 1e3);
             eprintln!(
                 "run {run} metrics={instrumented}: ingest {ingest_ms:.1} ms ({throughput_rps:.0} responses/s)"
@@ -177,8 +177,8 @@ fn main() {
     }
 
     // Phase 2 — the twins' final reports agree to the bit.
-    let mut on = final_on.expect("instrumented fleet retained");
-    let mut off = final_off.expect("uninstrumented fleet retained");
+    let on = final_on.expect("instrumented fleet retained");
+    let off = final_off.expect("uninstrumented fleet retained");
     let a = on.snapshot(confidence).expect("instrumented snapshot");
     let b = off.snapshot(confidence).expect("uninstrumented snapshot");
     assert!(
@@ -236,7 +236,7 @@ fn main() {
     on.shutdown().expect("shutdown");
 
     // Phase 4 — flight recorder under a zero slow-op threshold.
-    let (_, mut traced) = timed_ingest(
+    let (_, traced) = timed_ingest(
         data,
         &batches[..batches.len().min(16)],
         n_shards,

@@ -29,8 +29,8 @@ use crate::{FigureResult, RunOptions, Series, parallel_reps};
 use crowd_core::pairing::PairingStrategy;
 use crowd_core::preprocess::prune_spammers;
 use crowd_core::{
-    CoverageStats, DegeneracyPolicy, EstimatorConfig, KaryEstimator, KaryMWorkerEstimator,
-    MWorkerEstimator,
+    Assessment, CoverageStats, DegeneracyPolicy, EstimatorConfig, KaryEstimator,
+    KaryMWorkerEstimator, MWorkerEstimator,
 };
 use crowd_data::{WorkerId, pair_stats};
 use crowd_sim::{BinaryScenario, Collusion, KaryScenario};

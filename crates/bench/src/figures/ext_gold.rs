@@ -20,7 +20,7 @@
 
 use crate::{FigureResult, RunOptions, Series, parallel_reps};
 use crowd_core::baselines::GoldBaseline;
-use crowd_core::{EstimatorConfig, MWorkerEstimator};
+use crowd_core::{Assessment, EstimatorConfig, MWorkerEstimator};
 use crowd_data::{GoldStandard, TaskId};
 use crowd_sim::BinaryScenario;
 

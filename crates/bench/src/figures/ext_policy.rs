@@ -27,7 +27,7 @@
 //! "bad reputation" cost made measurable.
 
 use crate::{FigureResult, RunOptions, Series, parallel_reps};
-use crowd_core::{DecisionRule, EstimatorConfig, MWorkerEstimator, RetentionPolicy};
+use crowd_core::{Assessment, DecisionRule, EstimatorConfig, MWorkerEstimator, RetentionPolicy};
 use crowd_data::{Label, ResponseMatrixBuilder, TaskId, WorkerId};
 use rand::RngExt;
 

@@ -10,7 +10,7 @@
 
 use crate::{FigureResult, RunOptions, Series, confidence_grid, parallel_reps, rescale_interval};
 use crowd_core::baselines::OldTechnique;
-use crowd_core::{EstimatorConfig, MWorkerEstimator};
+use crowd_core::{Assessment, EstimatorConfig, MWorkerEstimator};
 use crowd_sim::BinaryScenario;
 
 /// Per-repetition mean interval sizes across the confidence grid, for

@@ -7,7 +7,7 @@
 //! diagonal.
 
 use crate::{FigureResult, RunOptions, Series, confidence_grid, parallel_reps, rescale_interval};
-use crowd_core::{EstimatorConfig, MWorkerEstimator};
+use crowd_core::{Assessment, EstimatorConfig, MWorkerEstimator};
 use crowd_sim::BinaryScenario;
 
 /// Runs the experiment.

@@ -6,7 +6,7 @@
 //! the mean interval size is expected to fall roughly like `1/d`.
 
 use crate::{FigureResult, RunOptions, Series, density_grid, parallel_reps};
-use crowd_core::{EstimatorConfig, MWorkerEstimator};
+use crowd_core::{Assessment, EstimatorConfig, MWorkerEstimator};
 use crowd_sim::BinaryScenario;
 
 /// Confidence level fixed by the paper for this figure.

@@ -7,7 +7,7 @@
 //! optimized intervals at less than half the size around `c = 0.5`.
 
 use crate::{FigureResult, RunOptions, Series, confidence_grid, parallel_reps, rescale_interval};
-use crowd_core::{EstimatorConfig, MWorkerEstimator};
+use crowd_core::{Assessment, EstimatorConfig, MWorkerEstimator};
 use crowd_data::OverlapIndex;
 use crowd_sim::{AttemptDesign, BinaryScenario, fig2c_densities};
 

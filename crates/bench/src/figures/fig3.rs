@@ -8,7 +8,7 @@
 //! effect Figure 4 repairs.
 
 use crate::{FigureResult, RunOptions, Series, confidence_grid, parallel_reps, rescale_interval};
-use crowd_core::{EstimatorConfig, MWorkerEstimator};
+use crowd_core::{Assessment, EstimatorConfig, MWorkerEstimator};
 use crowd_datasets::Dataset;
 
 /// Pair-overlap floor used on the sparse real datasets — the binary

@@ -135,7 +135,7 @@ impl AnswerAggregator {
 /// # Example
 ///
 /// ```
-/// use crowd_core::{EstimatorConfig, KaryMWorkerEstimator, MapAggregator};
+/// use crowd_core::{Assessment, EstimatorConfig, KaryMWorkerEstimator, MapAggregator};
 /// use crowd_sim::KaryScenario;
 ///
 /// let instance = KaryScenario::paper_default(3, 400, 1.0)
@@ -289,6 +289,7 @@ fn log_odds_weight(p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Assessment;
     use crate::{EstimatorConfig, MWorkerEstimator};
     use crowd_data::{GoldStandard, WorkerId};
     use crowd_sim::{BinaryScenario, rng};

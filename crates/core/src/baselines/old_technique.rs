@@ -169,7 +169,7 @@ fn super_worker_responses(data: &ResponseMatrix, set: &[WorkerId]) -> Vec<Label>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MWorkerEstimator;
+    use crate::{Assessment, MWorkerEstimator};
     use crowd_sim::{BinaryScenario, rng};
 
     #[test]

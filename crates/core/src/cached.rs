@@ -4,8 +4,8 @@
 //! The estimators are per-worker: a drain-point report is a list of
 //! independent rows, one per anchor, and a new response from worker
 //! `w` can only move the rows of `{w} ∪ cooccur(w)` (see the dirty
-//! tracking in [`crowd_data::streaming`]). [`ReportCache`] /
-//! [`KaryReportCache`] exploit that by remembering, per anchor, the
+//! tracking in [`crowd_data::streaming`]). [`ReportCache`] exploits
+//! that by remembering, per anchor, the
 //! last evaluation outcome **and the ingest epoch it was computed
 //! at**. A refresh re-evaluates an anchor only when
 //! [`StreamingIndex::dirty_epoch`] has advanced past its row's epoch;
@@ -19,7 +19,7 @@
 //! The caches are **bit-identical** to full recomputation, not
 //! approximately fresh: a clean row would re-derive the same bits
 //! because every statistic its evaluation reads is unchanged, and
-//! failures ([`EstimateError`] rows) are cached and re-validated the
+//! failures ([`crate::EstimateError`] rows) are cached and re-validated the
 //! same way as successes. Anything that changes the evaluation
 //! question rather than the data — a different confidence level —
 //! invalidates wholesale. The service-level property tests
@@ -27,17 +27,18 @@
 //! reports against full recomputation at every drain point across
 //! random interleavings.
 //!
+//! One generic cache serves both estimators: `ReportCache` is the
+//! binary (Algorithm A2) instantiation, [`KaryReportCache`] the k-ary
+//! one.
+//!
 //! A cache is keyed to **one** [`StreamingIndex`]: epochs are
 //! stream-local, so feeding a cache from two different substrates
 //! makes its version stamps meaningless. (The shard runtime owns one
 //! cache per shard stream, which is the intended shape.)
 
-use crate::kary::KaryMWorkerEstimator;
-use crate::{
-    EstimateError, KaryWorkerAssessment, KaryWorkerReport, MWorkerEstimator, Result,
-    WorkerAssessment, WorkerReport,
-};
-use crowd_data::{StreamingIndex, WorkerId};
+use crate::assessment::{anchor_outcome, population};
+use crate::{Assessment, KaryMWorkerEstimator, MWorkerEstimator, Report, Result};
+use crowd_data::{OverlapSource, StreamingIndex, WorkerId};
 
 /// Running counters of a report cache (cumulative since construction).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,115 +54,8 @@ pub struct CacheStats {
     pub last_dirty: usize,
 }
 
-/// The shared epoch-versioned row store behind both caches: one
-/// optional `(epoch, outcome)` slot per worker id plus the confidence
-/// level the rows answer.
-#[derive(Debug, Clone)]
-struct RowCache<T> {
-    rows: Vec<Option<(u64, Result<T>)>>,
-    /// Bit pattern of the confidence level the cached rows were
-    /// computed at; `None` until first use. Compared exactly — a
-    /// different confidence is a different question, so the rows are
-    /// dropped wholesale rather than risking a stale answer.
-    confidence_bits: Option<u64>,
-    stats: CacheStats,
-}
-
-impl<T: Clone> RowCache<T> {
-    fn new() -> Self {
-        Self {
-            rows: Vec::new(),
-            confidence_bits: None,
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// Drops every row if `confidence` differs from the cached level
-    /// (exact bit comparison), counting a full refresh when live rows
-    /// were actually discarded.
-    fn ensure_confidence(&mut self, confidence: f64) {
-        let bits = confidence.to_bits();
-        if self.confidence_bits != Some(bits) {
-            if self.rows.iter().any(Option::is_some) {
-                self.stats.full_refreshes += 1;
-            }
-            self.rows.clear();
-            self.confidence_bits = Some(bits);
-        }
-    }
-
-    /// The cached outcome for `worker` if it is still exact — present
-    /// and computed at an epoch not older than the worker's last
-    /// dirtying ingest.
-    fn clean_row(&self, stream: &StreamingIndex, worker: WorkerId) -> Option<&Result<T>> {
-        match self.rows.get(worker.index())? {
-            Some((epoch, outcome)) if *epoch >= stream.dirty_epoch(worker) => Some(outcome),
-            _ => None,
-        }
-    }
-
-    fn store(&mut self, worker: WorkerId, epoch: u64, outcome: Result<T>) {
-        if self.rows.len() <= worker.index() {
-            self.rows.resize(worker.index() + 1, None);
-        }
-        self.rows[worker.index()] = Some((epoch, outcome));
-    }
-
-    /// One cache-consulting evaluation: serve the clean row or compute
-    /// via `eval` and version the result at the stream's current
-    /// epoch.
-    fn assess(
-        &mut self,
-        stream: &StreamingIndex,
-        worker: WorkerId,
-        confidence: f64,
-        eval: impl FnOnce() -> Result<T>,
-    ) -> Result<T> {
-        self.ensure_confidence(confidence);
-        if let Some(outcome) = self.clean_row(stream, worker).cloned() {
-            self.stats.hits += 1;
-            return outcome;
-        }
-        self.stats.misses += 1;
-        let outcome = eval();
-        self.store(worker, stream.epoch(), outcome.clone());
-        outcome
-    }
-
-    /// The refresh body shared by both report shapes: walk `anchors`
-    /// in order, re-evaluating dirty rows and cloning clean ones, and
-    /// hand each outcome to `emit` (which builds the report in
-    /// `anchors` order — exactly what the uncached subset entry points
-    /// produce).
-    fn refresh(
-        &mut self,
-        stream: &StreamingIndex,
-        anchors: &[WorkerId],
-        confidence: f64,
-        mut eval: impl FnMut(WorkerId) -> Result<T>,
-        mut emit: impl FnMut(WorkerId, Result<T>),
-    ) {
-        self.ensure_confidence(confidence);
-        let epoch = stream.epoch();
-        let mut dirty = 0usize;
-        for &worker in anchors {
-            if let Some(outcome) = self.clean_row(stream, worker).cloned() {
-                self.stats.hits += 1;
-                emit(worker, outcome);
-                continue;
-            }
-            dirty += 1;
-            self.stats.misses += 1;
-            let outcome = eval(worker);
-            self.store(worker, epoch, outcome.clone());
-            emit(worker, outcome);
-        }
-        self.stats.last_dirty = dirty;
-    }
-}
-
-/// Epoch-versioned cache of binary (Algorithm A2) per-worker
-/// assessments; see the [module docs](self).
+/// Epoch-versioned cache of one estimator's per-worker assessments;
+/// see the [module docs](self).
 ///
 /// # Example
 ///
@@ -185,142 +79,120 @@ impl<T: Clone> RowCache<T> {
 /// # Ok::<(), crowd_core::EstimateError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct ReportCache {
-    inner: RowCache<WorkerAssessment>,
+pub struct ReportCache<A: Assessment = MWorkerEstimator> {
+    /// One optional `(epoch, outcome)` slot per worker id.
+    rows: Vec<Option<(u64, Result<A::Row>)>>,
+    /// Bit pattern of the confidence level the cached rows were
+    /// computed at; `None` until first use. Compared exactly — a
+    /// different confidence is a different question, so the rows are
+    /// dropped wholesale rather than risking a stale answer.
+    confidence_bits: Option<u64>,
+    stats: CacheStats,
 }
 
-impl ReportCache {
+/// The k-ary (m-worker A3) report cache.
+pub type KaryReportCache = ReportCache<KaryMWorkerEstimator>;
+
+impl<A: Assessment> ReportCache<A> {
     /// An empty cache (first refresh evaluates every anchor).
     pub fn new() -> Self {
         Self {
-            inner: RowCache::new(),
+            rows: Vec::new(),
+            confidence_bits: None,
+            stats: CacheStats::default(),
         }
     }
 
     /// Cumulative hit/miss counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.stats
+        self.stats
     }
 
-    /// Cache-consulting counterpart of
-    /// [`MWorkerEstimator::evaluate_worker_on`]: serves the cached
-    /// outcome when `worker` is clean, re-evaluates (and re-versions)
-    /// it otherwise. Bit-identical to the uncached call either way.
+    /// Cache-consulting counterpart of [`Assessment::assess_streaming`]:
+    /// serves the cached outcome when `worker` is clean, re-evaluates
+    /// (and re-versions) it otherwise. Bit-identical to the uncached
+    /// call either way.
     pub fn assess(
         &mut self,
-        estimator: &MWorkerEstimator,
+        estimator: &A,
         stream: &StreamingIndex,
         worker: WorkerId,
         confidence: f64,
-    ) -> Result<WorkerAssessment> {
-        self.inner.assess(stream, worker, confidence, || {
-            estimator.evaluate_worker_on(stream, worker, confidence)
-        })
+    ) -> Result<A::Row> {
+        self.ensure_confidence(confidence);
+        self.outcome(estimator, stream, worker, confidence)
     }
 
     /// Cache-consulting counterpart of
-    /// [`MWorkerEstimator::evaluate_workers_on`]: re-evaluates only
+    /// [`Assessment::evaluate_workers_streaming`]: re-evaluates only
     /// the anchors dirtied since their cached rows, cloning the rest.
     /// The report (assessments and failures in `anchors` order) is
     /// bit-identical to the uncached subset evaluation.
     pub fn refresh(
         &mut self,
-        estimator: &MWorkerEstimator,
+        estimator: &A,
         stream: &StreamingIndex,
         anchors: &[WorkerId],
         confidence: f64,
-    ) -> Result<WorkerReport> {
+    ) -> Result<Report<A::Row>> {
         // Mirror the uncached entry point's population guard exactly —
-        // the caches must be invisible in the error taxonomy too.
-        let m = crowd_data::OverlapSource::n_workers(stream);
-        if m < 3 {
-            return Err(EstimateError::NotEnoughWorkers { got: m, need: 3 });
-        }
-        let mut report = WorkerReport::default();
-        self.inner.refresh(
-            stream,
-            anchors,
-            confidence,
-            |worker| estimator.evaluate_worker_on(stream, worker, confidence),
-            |worker, outcome| match outcome {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((worker, e)),
-            },
+        // the cache must be invisible in the error taxonomy too.
+        population(OverlapSource::n_workers(stream))?;
+        self.ensure_confidence(confidence);
+        let misses = self.stats.misses;
+        let report = Report::collect(
+            anchors
+                .iter()
+                .map(|&worker| (worker, self.outcome(estimator, stream, worker, confidence))),
         );
+        self.stats.last_dirty = (self.stats.misses - misses) as usize;
         Ok(report)
     }
-}
 
-impl Default for ReportCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Epoch-versioned cache of k-ary (m-worker A3) per-worker
-/// assessments; the k-ary twin of [`ReportCache`].
-#[derive(Debug, Clone)]
-pub struct KaryReportCache {
-    inner: RowCache<KaryWorkerAssessment>,
-}
-
-impl KaryReportCache {
-    /// An empty cache (first refresh evaluates every anchor).
-    pub fn new() -> Self {
-        Self {
-            inner: RowCache::new(),
+    /// Drops every row if `confidence` differs from the cached level
+    /// (exact bit comparison), counting a full refresh when live rows
+    /// were actually discarded.
+    fn ensure_confidence(&mut self, confidence: f64) {
+        let bits = confidence.to_bits();
+        if self.confidence_bits != Some(bits) {
+            if self.rows.iter().any(Option::is_some) {
+                self.stats.full_refreshes += 1;
+            }
+            self.rows.clear();
+            self.confidence_bits = Some(bits);
         }
     }
 
-    /// Cumulative hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats
-    }
-
-    /// Cache-consulting counterpart of
-    /// [`KaryMWorkerEstimator::evaluate_worker_streaming`].
-    pub fn assess(
+    /// One cache-consulting per-anchor evaluation: serve the row if it
+    /// is still exact — present and computed at an epoch not older
+    /// than the worker's last dirtying ingest — or evaluate and
+    /// version the result at the stream's current epoch.
+    fn outcome(
         &mut self,
-        estimator: &KaryMWorkerEstimator,
+        estimator: &A,
         stream: &StreamingIndex,
         worker: WorkerId,
         confidence: f64,
-    ) -> Result<KaryWorkerAssessment> {
-        self.inner.assess(stream, worker, confidence, || {
-            estimator.evaluate_worker_streaming(stream, worker, confidence)
+    ) -> Result<A::Row> {
+        anchor_outcome(OverlapSource::n_workers(stream), worker, || {
+            if let Some(Some((epoch, outcome))) = self.rows.get(worker.index())
+                && *epoch >= stream.dirty_epoch(worker)
+            {
+                self.stats.hits += 1;
+                return outcome.clone();
+            }
+            self.stats.misses += 1;
+            let outcome = estimator.assess_streaming(stream, worker, confidence);
+            if self.rows.len() <= worker.index() {
+                self.rows.resize(worker.index() + 1, None);
+            }
+            self.rows[worker.index()] = Some((stream.epoch(), outcome.clone()));
+            outcome
         })
-    }
-
-    /// Cache-consulting counterpart of
-    /// [`KaryMWorkerEstimator::evaluate_workers_streaming`];
-    /// bit-identical report, `O(|dirty|)` evaluations.
-    pub fn refresh(
-        &mut self,
-        estimator: &KaryMWorkerEstimator,
-        stream: &StreamingIndex,
-        anchors: &[WorkerId],
-        confidence: f64,
-    ) -> Result<KaryWorkerReport> {
-        let m = crowd_data::OverlapSource::n_workers(stream);
-        if m < 3 {
-            return Err(EstimateError::NotEnoughWorkers { got: m, need: 3 });
-        }
-        let mut report = KaryWorkerReport::default();
-        self.inner.refresh(
-            stream,
-            anchors,
-            confidence,
-            |worker| estimator.evaluate_worker_streaming(stream, worker, confidence),
-            |worker, outcome| match outcome {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((worker, e)),
-            },
-        );
-        Ok(report)
     }
 }
 
-impl Default for KaryReportCache {
+impl<A: Assessment> Default for ReportCache<A> {
     fn default() -> Self {
         Self::new()
     }
@@ -329,12 +201,18 @@ impl Default for KaryReportCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EstimatorConfig;
-    use crowd_data::{OverlapSource, PairBackend, Response};
+    use crate::{EstimateError, EstimatorConfig};
+    use crowd_data::{PairBackend, Response};
     use crowd_sim::{BinaryScenario, rng};
 
-    fn assessments_equal(a: &WorkerReport, b: &WorkerReport) -> bool {
-        a.assessments == b.assessments && a.failures == b.failures
+    /// Equal reports, bit for bit: `Debug` prints every `f64` in its
+    /// shortest round-trip form, so equal strings mean equal values.
+    fn same<R: std::fmt::Debug>(a: &Report<R>, b: &Report<R>) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    fn estimator<A: Assessment>() -> A {
+        A::from_config(EstimatorConfig::default())
     }
 
     /// Cached refresh equals the uncached subset evaluation bit for
@@ -342,45 +220,55 @@ mod tests {
     /// between drains.
     #[test]
     fn cached_refresh_matches_full_recompute_at_every_drain() {
-        let inst = BinaryScenario::paper_default(8, 90, 0.8).generate(&mut rng(811));
-        let data = inst.responses();
-        let est = MWorkerEstimator::new(EstimatorConfig::default());
-        let mut stream =
-            StreamingIndex::new_with(data.n_workers(), data.n_tasks(), 2, PairBackend::Sparse);
-        let anchors: Vec<WorkerId> = (0..data.n_workers() as u32).map(WorkerId).collect();
-        let mut cache = ReportCache::new();
-        for (i, r) in data.iter().enumerate() {
-            stream.record_response(r).unwrap();
-            if i % 37 == 0 || i + 1 == data.n_responses() {
-                let cached = cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
-                let full = est.evaluate_workers_on(&stream, &anchors, 0.9).unwrap();
-                assert!(
-                    assessments_equal(&cached, &full),
-                    "cached report diverged at response {i}"
-                );
+        fn check<A: Assessment>() {
+            let inst = BinaryScenario::paper_default(8, 90, 0.8).generate(&mut rng(811));
+            let data = inst.responses();
+            let est = estimator::<A>();
+            let mut stream =
+                StreamingIndex::new_with(data.n_workers(), data.n_tasks(), 2, PairBackend::Sparse);
+            let anchors: Vec<WorkerId> = (0..data.n_workers() as u32).map(WorkerId).collect();
+            let mut cache = ReportCache::new();
+            for (i, r) in data.iter().enumerate() {
+                stream.record_response(r).unwrap();
+                if i % 37 == 0 || i + 1 == data.n_responses() {
+                    let cached = cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
+                    let full = est
+                        .evaluate_workers_streaming(&stream, &anchors, 0.9)
+                        .unwrap();
+                    assert!(
+                        same(&cached, &full),
+                        "cached report diverged at response {i}"
+                    );
+                }
             }
+            let stats = cache.stats();
+            assert!(stats.hits > 0, "steady drains must produce cache hits");
+            assert!(stats.misses > 0);
+            assert_eq!(stats.full_refreshes, 0);
         }
-        let stats = cache.stats();
-        assert!(stats.hits > 0, "steady drains must produce cache hits");
-        assert!(stats.misses > 0);
-        assert_eq!(stats.full_refreshes, 0);
+        check::<MWorkerEstimator>();
+        check::<KaryMWorkerEstimator>();
     }
 
     /// A quiet stretch makes the next drain free: zero dirty rows,
     /// all hits.
     #[test]
     fn quiet_drains_are_all_hits() {
-        let inst = BinaryScenario::paper_default(6, 60, 0.9).generate(&mut rng(821));
-        let stream = StreamingIndex::from_matrix(inst.responses());
-        let est = MWorkerEstimator::new(EstimatorConfig::default());
-        let anchors: Vec<WorkerId> = stream.index().workers().collect();
-        let mut cache = ReportCache::new();
-        cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
-        assert_eq!(cache.stats().last_dirty, anchors.len());
-        cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.last_dirty, 0);
-        assert_eq!(stats.hits, anchors.len() as u64);
+        fn check<A: Assessment>() {
+            let inst = BinaryScenario::paper_default(6, 60, 0.9).generate(&mut rng(821));
+            let stream = StreamingIndex::from_matrix(inst.responses());
+            let est = estimator::<A>();
+            let anchors: Vec<WorkerId> = stream.index().workers().collect();
+            let mut cache = ReportCache::new();
+            cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
+            assert_eq!(cache.stats().last_dirty, anchors.len());
+            cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
+            let stats = cache.stats();
+            assert_eq!(stats.last_dirty, 0);
+            assert_eq!(stats.hits, anchors.len() as u64);
+        }
+        check::<MWorkerEstimator>();
+        check::<KaryMWorkerEstimator>();
     }
 
     /// A sparse ingest burst dirties only the responder's
@@ -388,61 +276,73 @@ mod tests {
     /// exactly that set and the result still matches full recompute.
     #[test]
     fn sparse_burst_reevaluates_only_the_dirty_set() {
-        // Two disjoint communities of 4 workers over disjoint tasks.
-        let mut stream = StreamingIndex::new_with(8, 40, 2, PairBackend::Sparse);
-        let ingest = |s: &mut StreamingIndex, w: u32, t: u32, l: u16| {
-            s.record_response(Response {
-                worker: WorkerId(w),
-                task: crowd_data::TaskId(t),
-                label: crowd_data::Label(l),
-            })
-            .unwrap();
-        };
-        for t in 0..20u32 {
-            for w in 0..4u32 {
-                ingest(&mut stream, w, t, ((w + t) % 2) as u16);
-            }
-        }
-        for t in 20..40u32 {
-            for w in 4..8u32 {
-                if (w, t) == (6, 25) {
-                    continue; // left for the post-drain burst below
+        fn check<A: Assessment>() {
+            // Two disjoint communities of 4 workers over disjoint tasks.
+            let mut stream = StreamingIndex::new_with(8, 40, 2, PairBackend::Sparse);
+            let ingest = |s: &mut StreamingIndex, w: u32, t: u32, l: u16| {
+                s.record_response(Response {
+                    worker: WorkerId(w),
+                    task: crowd_data::TaskId(t),
+                    label: crowd_data::Label(l),
+                })
+                .unwrap();
+            };
+            for t in 0..20u32 {
+                for w in 0..4u32 {
+                    ingest(&mut stream, w, t, ((w + t) % 2) as u16);
                 }
-                ingest(&mut stream, w, t, ((w * t) % 2) as u16);
             }
-        }
-        let est = MWorkerEstimator::new(EstimatorConfig::default());
-        let anchors: Vec<WorkerId> = (0..8u32).map(WorkerId).collect();
-        let mut cache = ReportCache::new();
-        cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
+            for t in 20..40u32 {
+                for w in 4..8u32 {
+                    if (w, t) == (6, 25) {
+                        continue; // left for the post-drain burst below
+                    }
+                    ingest(&mut stream, w, t, ((w * t) % 2) as u16);
+                }
+            }
+            let est = estimator::<A>();
+            let anchors: Vec<WorkerId> = (0..8u32).map(WorkerId).collect();
+            let mut cache = ReportCache::new();
+            cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
 
-        // One response from worker 6 dirties only community B.
-        ingest(&mut stream, 6, 25, 1);
-        let cached = cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
-        assert_eq!(
-            cache.stats().last_dirty,
-            4,
-            "only the responder's community is dirty"
-        );
-        let full = est.evaluate_workers_on(&stream, &anchors, 0.9).unwrap();
-        assert!(assessments_equal(&cached, &full));
+            // One response from worker 6 dirties only community B.
+            ingest(&mut stream, 6, 25, 1);
+            let cached = cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
+            assert_eq!(
+                cache.stats().last_dirty,
+                4,
+                "only the responder's community is dirty"
+            );
+            let full = est
+                .evaluate_workers_streaming(&stream, &anchors, 0.9)
+                .unwrap();
+            assert!(same(&cached, &full));
+        }
+        check::<MWorkerEstimator>();
+        check::<KaryMWorkerEstimator>();
     }
 
     /// Changing the confidence level invalidates wholesale — cached
     /// rows answer a different question and must not be served.
     #[test]
     fn confidence_change_forces_full_refresh() {
-        let inst = BinaryScenario::paper_default(5, 50, 0.9).generate(&mut rng(831));
-        let stream = StreamingIndex::from_matrix(inst.responses());
-        let est = MWorkerEstimator::new(EstimatorConfig::default());
-        let anchors: Vec<WorkerId> = stream.index().workers().collect();
-        let mut cache = ReportCache::new();
-        cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
-        let at95 = cache.refresh(&est, &stream, &anchors, 0.95).unwrap();
-        assert_eq!(cache.stats().full_refreshes, 1);
-        assert_eq!(cache.stats().last_dirty, anchors.len());
-        let full = est.evaluate_workers_on(&stream, &anchors, 0.95).unwrap();
-        assert!(assessments_equal(&at95, &full));
+        fn check<A: Assessment>() {
+            let inst = BinaryScenario::paper_default(5, 50, 0.9).generate(&mut rng(831));
+            let stream = StreamingIndex::from_matrix(inst.responses());
+            let est = estimator::<A>();
+            let anchors: Vec<WorkerId> = stream.index().workers().collect();
+            let mut cache = ReportCache::new();
+            cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
+            let at95 = cache.refresh(&est, &stream, &anchors, 0.95).unwrap();
+            assert_eq!(cache.stats().full_refreshes, 1);
+            assert_eq!(cache.stats().last_dirty, anchors.len());
+            let full = est
+                .evaluate_workers_streaming(&stream, &anchors, 0.95)
+                .unwrap();
+            assert!(same(&at95, &full));
+        }
+        check::<MWorkerEstimator>();
+        check::<KaryMWorkerEstimator>();
     }
 
     /// Failure rows (e.g. NoUsableTriples) are cached and re-served
@@ -450,52 +350,59 @@ mod tests {
     /// entry point.
     #[test]
     fn failures_cache_and_guards_mirror_uncached_path() {
-        let mut stream = StreamingIndex::new_with(4, 8, 2, PairBackend::Sparse);
-        for t in 0..8u32 {
-            stream
-                .record_response(Response {
-                    worker: WorkerId(t % 4),
-                    task: crowd_data::TaskId(t),
-                    label: crowd_data::Label((t % 2) as u16),
-                })
-                .unwrap();
-        }
-        let est = MWorkerEstimator::new(EstimatorConfig::default());
-        let anchors: Vec<WorkerId> = (0..4u32).map(WorkerId).collect();
-        let mut cache = ReportCache::new();
-        let first = cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
-        assert_eq!(first.failures.len(), 4);
-        let second = cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
-        assert_eq!(cache.stats().last_dirty, 0, "failures must cache too");
-        assert!(assessments_equal(&first, &second));
+        fn check<A: Assessment>() {
+            let mut stream = StreamingIndex::new_with(4, 8, 2, PairBackend::Sparse);
+            for t in 0..8u32 {
+                stream
+                    .record_response(Response {
+                        worker: WorkerId(t % 4),
+                        task: crowd_data::TaskId(t),
+                        label: crowd_data::Label((t % 2) as u16),
+                    })
+                    .unwrap();
+            }
+            let est = estimator::<A>();
+            let anchors: Vec<WorkerId> = (0..4u32).map(WorkerId).collect();
+            let mut cache = ReportCache::new();
+            let first = cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
+            assert_eq!(first.failures.len(), 4);
+            let second = cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
+            assert_eq!(cache.stats().last_dirty, 0, "failures must cache too");
+            assert!(same(&first, &second));
 
-        let tiny = StreamingIndex::new_with(2, 4, 2, PairBackend::Sparse);
-        assert_eq!(OverlapSource::n_workers(&tiny), 2);
-        assert!(matches!(
-            ReportCache::new().refresh(&est, &tiny, &[WorkerId(0)], 0.9),
-            Err(EstimateError::NotEnoughWorkers { got: 2, need: 3 })
-        ));
+            let tiny = StreamingIndex::new_with(2, 4, 2, PairBackend::Sparse);
+            assert_eq!(OverlapSource::n_workers(&tiny), 2);
+            assert!(matches!(
+                ReportCache::new().refresh(&est, &tiny, &[WorkerId(0)], 0.9),
+                Err(EstimateError::NotEnoughWorkers { got: 2, need: 3 })
+            ));
+        }
+        check::<MWorkerEstimator>();
+        check::<KaryMWorkerEstimator>();
     }
 
     /// Single-worker assess shares the same row store as refresh: an
-    /// assess after a refresh hits, and a refresh after a dirtying
-    /// ingest + assess does not re-evaluate the already-refreshed row.
+    /// assess after a refresh hits and returns the uncached row.
     #[test]
     fn assess_and_refresh_share_rows() {
-        let inst = BinaryScenario::paper_default(5, 60, 0.9).generate(&mut rng(841));
-        let stream = StreamingIndex::from_matrix(inst.responses());
-        let est = MWorkerEstimator::new(EstimatorConfig::default());
-        let anchors: Vec<WorkerId> = stream.index().workers().collect();
-        let mut cache = ReportCache::new();
-        cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
-        let misses_before = cache.stats().misses;
-        let a = cache.assess(&est, &stream, WorkerId(2), 0.9).unwrap();
-        assert_eq!(cache.stats().misses, misses_before, "assess must hit");
-        let direct = est.evaluate_worker_on(&stream, WorkerId(2), 0.9).unwrap();
-        assert_eq!(a, direct);
+        fn check<A: Assessment>() {
+            let inst = BinaryScenario::paper_default(5, 60, 0.9).generate(&mut rng(841));
+            let stream = StreamingIndex::from_matrix(inst.responses());
+            let est = estimator::<A>();
+            let anchors: Vec<WorkerId> = stream.index().workers().collect();
+            let mut cache = ReportCache::new();
+            cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
+            let misses_before = cache.stats().misses;
+            let a = cache.assess(&est, &stream, WorkerId(2), 0.9);
+            assert_eq!(cache.stats().misses, misses_before, "assess must hit");
+            let direct = est.assess_streaming(&stream, WorkerId(2), 0.9);
+            assert_eq!(format!("{a:?}"), format!("{direct:?}"));
+        }
+        check::<MWorkerEstimator>();
+        check::<KaryMWorkerEstimator>();
     }
 
-    /// The k-ary cache obeys the same contract.
+    /// The k-ary cache obeys the same contract on 3-ary data.
     #[test]
     fn kary_cache_matches_full_recompute() {
         use crowd_sim::KaryScenario;
@@ -515,16 +422,7 @@ mod tests {
                 let full = est
                     .evaluate_workers_streaming(&stream, &anchors, 0.9)
                     .unwrap();
-                assert_eq!(cached.assessments.len(), full.assessments.len());
-                assert_eq!(cached.failures.len(), full.failures.len());
-                for (c, f) in cached.assessments.iter().zip(&full.assessments) {
-                    assert_eq!(c.worker, f.worker);
-                    assert_eq!(c.triples_used, f.triples_used);
-                    for (x, y) in c.intervals.iter().zip(&f.intervals) {
-                        assert_eq!(x.center.to_bits(), y.center.to_bits(), "at response {i}");
-                        assert_eq!(x.half_width.to_bits(), y.half_width.to_bits());
-                    }
-                }
+                assert!(same(&cached, &full), "at response {i}");
             }
         }
         assert!(cache.stats().hits > 0);

@@ -24,6 +24,13 @@ pub enum EstimateError {
         /// Workers required.
         need: usize,
     },
+    /// The worker id is outside the data's worker population.
+    UnknownWorker {
+        /// The requested worker.
+        worker: WorkerId,
+        /// Workers the data holds (valid ids are `0..n_workers`).
+        n_workers: usize,
+    },
     /// No valid triple could be formed for the worker under evaluation.
     NoUsableTriples {
         /// The worker being evaluated.
@@ -57,6 +64,9 @@ impl std::fmt::Display for EstimateError {
             ),
             Self::NotEnoughWorkers { got, need } => {
                 write!(f, "not enough workers: got {got}, need {need}")
+            }
+            Self::UnknownWorker { worker, n_workers } => {
+                write!(f, "unknown worker {worker:?} (the data holds {n_workers})")
             }
             Self::NoUsableTriples { worker } => {
                 write!(f, "no usable triples for worker {worker:?}")
@@ -115,6 +125,14 @@ mod tests {
             }
             .to_string()
             .contains("w")
+        );
+        assert!(
+            EstimateError::UnknownWorker {
+                worker: WorkerId(99),
+                n_workers: 5
+            }
+            .to_string()
+            .contains("holds 5")
         );
         assert!(
             EstimateError::RequiresRegularData

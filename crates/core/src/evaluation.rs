@@ -24,24 +24,56 @@ pub struct WorkerAssessment {
     pub weights_fell_back: bool,
 }
 
-/// The outcome of evaluating every worker in a dataset.
-#[derive(Debug, Clone, Default)]
-pub struct WorkerReport {
+/// One row of a [`Report`]: an assessment that knows which worker it
+/// describes. Implemented by the rows of both estimators
+/// ([`WorkerAssessment`], [`crate::KaryWorkerAssessment`]).
+pub trait AssessmentRow: Clone + std::fmt::Debug + Send {
+    /// The worker this row assesses.
+    fn worker(&self) -> WorkerId;
+}
+
+impl AssessmentRow for WorkerAssessment {
+    fn worker(&self) -> WorkerId {
+        self.worker
+    }
+}
+
+/// The outcome of evaluating a set of workers: one row per success,
+/// one `(worker, reason)` per failure. [`WorkerReport`] (binary) and
+/// [`crate::KaryWorkerReport`] (k-ary) are its two instantiations.
+#[derive(Debug, Clone)]
+pub struct Report<R> {
     /// Successful assessments, in worker order.
-    pub assessments: Vec<WorkerAssessment>,
+    pub assessments: Vec<R>,
     /// Workers that could not be evaluated, with the reason.
     pub failures: Vec<(WorkerId, EstimateError)>,
 }
 
-impl WorkerReport {
-    /// Iterates `(worker, interval)` over successful assessments.
-    pub fn iter(&self) -> impl Iterator<Item = (WorkerId, &ConfidenceInterval)> {
-        self.assessments.iter().map(|a| (a.worker, &a.interval))
-    }
+/// The binary (Algorithm A2) report.
+pub type WorkerReport = Report<WorkerAssessment>;
 
-    /// Looks up one worker's assessment.
-    pub fn get(&self, worker: WorkerId) -> Option<&WorkerAssessment> {
-        self.assessments.iter().find(|a| a.worker == worker)
+impl<R> Default for Report<R> {
+    fn default() -> Self {
+        Self {
+            assessments: Vec::new(),
+            failures: Vec::new(),
+        }
+    }
+}
+
+impl<R: AssessmentRow> Report<R> {
+    /// Collects per-worker outcomes in the order given.
+    pub(crate) fn collect(
+        outcomes: impl IntoIterator<Item = (WorkerId, crate::Result<R>)>,
+    ) -> Self {
+        let mut report = Self::default();
+        for (worker, outcome) in outcomes {
+            match outcome {
+                Ok(a) => report.assessments.push(a),
+                Err(e) => report.failures.push((worker, e)),
+            }
+        }
+        report
     }
 
     /// Recombines partial reports — each covering a disjoint subset of
@@ -57,15 +89,27 @@ impl WorkerReport {
     /// failures in worker order. The sort is stable, so duplicate
     /// coverage (a contract violation) degrades to deterministic
     /// output rather than nondeterminism.
-    pub fn merge(parts: impl IntoIterator<Item = WorkerReport>) -> WorkerReport {
-        let mut merged = WorkerReport::default();
+    pub fn merge(parts: impl IntoIterator<Item = Self>) -> Self {
+        let mut merged = Self::default();
         for part in parts {
             merged.assessments.extend(part.assessments);
             merged.failures.extend(part.failures);
         }
-        merged.assessments.sort_by_key(|a| a.worker);
+        merged.assessments.sort_by_key(R::worker);
         merged.failures.sort_by_key(|f| f.0);
         merged
+    }
+}
+
+impl WorkerReport {
+    /// Iterates `(worker, interval)` over successful assessments.
+    pub fn iter(&self) -> impl Iterator<Item = (WorkerId, &ConfidenceInterval)> {
+        self.assessments.iter().map(|a| (a.worker, &a.interval))
+    }
+
+    /// Looks up one worker's assessment.
+    pub fn get(&self, worker: WorkerId) -> Option<&WorkerAssessment> {
+        self.assessments.iter().find(|a| a.worker == worker)
     }
 
     /// Mean interval size over successful assessments (the y-axis of

@@ -7,12 +7,13 @@
 //! same [`crowd_data::OverlapIndex`] substrate the batch path uses,
 //! not a private shadow copy of the data.
 //!
-//! [`IncrementalEvaluator`] (binary, Algorithm A2) and
-//! [`KaryIncrementalEvaluator`] (k-ary, the m-worker A3 extension)
-//! each hold one long-lived [`StreamingIndex`]: the overlap index plus
-//! maintained, **peer-scoped** per-worker anchored bitset views — each
-//! view holds a mask row only for the ≤ 2l peers the last evaluation's
-//! pairing selected (`O(m·l·n̄/64)` resident across the fleet, not
+//! [`Incremental`] — [`IncrementalEvaluator`] for binary tasks
+//! (Algorithm A2), [`KaryIncrementalEvaluator`] for k-ary ones (the
+//! m-worker A3 extension) — holds one long-lived [`StreamingIndex`]:
+//! the overlap index plus maintained, **peer-scoped** per-worker
+//! anchored bitset views — each view holds a mask row only for the
+//! ≤ 2l peers the last evaluation's pairing selected
+//! (`O(m·l·n̄/64)` resident across the fleet, not
 //! `O(m²·n̄/64)`), starts empty until its worker is first evaluated,
 //! and lazily re-anchors when the pairing shifts (see
 //! [`crowd_data::streaming`]). Ingesting a response costs
@@ -42,16 +43,14 @@
 //! differential property tests in `crates/data/tests/proptests.rs`
 //! enforce this.
 
-use crate::cached::{CacheStats, KaryReportCache, ReportCache};
+use crate::assessment::anchor_outcome;
+use crate::cached::{CacheStats, ReportCache};
 use crate::kary::KaryMWorkerEstimator;
-use crate::{
-    EstimatorConfig, KaryWorkerAssessment, KaryWorkerReport, MWorkerEstimator, Result,
-    WorkerAssessment, WorkerReport,
-};
-use crowd_data::{OverlapIndex, Response, ResponseMatrix, StreamingIndex, WorkerId};
+use crate::{Assessment, EstimatorConfig, MWorkerEstimator, Report, Result};
+use crowd_data::{OverlapIndex, OverlapSource, Response, ResponseMatrix, StreamingIndex, WorkerId};
 
 /// Streaming evaluator maintaining the indexed substrate response by
-/// response (binary tasks, Algorithm A2).
+/// response, for either estimator; see the [module docs](self).
 ///
 /// # Example
 ///
@@ -71,32 +70,59 @@ use crowd_data::{OverlapIndex, Response, ResponseMatrix, StreamingIndex, WorkerI
 /// # Ok::<(), crowd_data::DataError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct IncrementalEvaluator {
+pub struct Incremental<A: Assessment> {
     stream: StreamingIndex,
-    estimator: MWorkerEstimator,
+    estimator: A,
     /// Epoch-versioned per-anchor rows backing
-    /// [`IncrementalEvaluator::evaluate_all_cached`]; unused (zero
-    /// cost) by the uncached entry points.
-    cache: ReportCache,
+    /// [`Incremental::evaluate_all_cached`]; unused (zero cost) by the
+    /// uncached entry points.
+    cache: ReportCache<A>,
 }
 
-impl IncrementalEvaluator {
+/// The binary (Algorithm A2) streaming evaluator.
+pub type IncrementalEvaluator = Incremental<MWorkerEstimator>;
+
+/// The k-ary (m-worker A3) streaming evaluator: counts tensors are
+/// harvested by union merges of the maintained adjacency rows and the
+/// `n₅` cross-triple counts are popcounts on the maintained anchored
+/// views.
+///
+/// # Example
+///
+/// ```
+/// use crowd_core::{EstimatorConfig, KaryIncrementalEvaluator};
+/// use crowd_sim::KaryScenario;
+///
+/// let instance = KaryScenario::paper_default(3, 200, 0.9)
+///     .with_workers(5)
+///     .generate(&mut crowd_sim::rng(7));
+/// let mut monitor = KaryIncrementalEvaluator::new(5, 200, 3, EstimatorConfig::default());
+/// for response in instance.responses().iter() {
+///     monitor.ingest(response)?;
+/// }
+/// let report = monitor.evaluate_all(0.9).unwrap();
+/// assert_eq!(report.assessments.len() + report.failures.len(), 5);
+/// # Ok::<(), crowd_data::DataError>(())
+/// ```
+pub type KaryIncrementalEvaluator = Incremental<KaryMWorkerEstimator>;
+
+impl<A: Assessment> Incremental<A> {
     /// Creates an empty evaluator for `n_workers × n_tasks` responses
     /// of the given arity.
     pub fn new(n_workers: usize, n_tasks: usize, arity: u16, config: EstimatorConfig) -> Self {
-        Self {
-            stream: StreamingIndex::new(n_workers, n_tasks, arity),
-            estimator: MWorkerEstimator::new(config),
-            cache: ReportCache::new(),
-        }
+        Self::over(StreamingIndex::new(n_workers, n_tasks, arity), config)
     }
 
     /// Seeds the evaluator from an existing response matrix (one batch
     /// index build), after which further responses stream in.
     pub fn from_matrix(data: &ResponseMatrix, config: EstimatorConfig) -> Self {
+        Self::over(StreamingIndex::from_matrix(data), config)
+    }
+
+    fn over(stream: StreamingIndex, config: EstimatorConfig) -> Self {
         Self {
-            stream: StreamingIndex::from_matrix(data),
-            estimator: MWorkerEstimator::new(config),
+            stream,
+            estimator: A::from_config(config),
             cache: ReportCache::new(),
         }
     }
@@ -135,143 +161,32 @@ impl IncrementalEvaluator {
 
     /// Evaluates one worker on the data seen so far; bit-identical to
     /// the batch estimator on the accumulated data.
-    pub fn evaluate_worker(&self, worker: WorkerId, confidence: f64) -> Result<WorkerAssessment> {
-        self.estimator
-            .evaluate_worker_on(&self.stream, worker, confidence)
+    pub fn evaluate_worker(&self, worker: WorkerId, confidence: f64) -> Result<A::Row> {
+        anchor_outcome(OverlapSource::n_workers(&self.stream), worker, || {
+            self.estimator
+                .assess_streaming(&self.stream, worker, confidence)
+        })
     }
 
     /// Evaluates every worker on the data seen so far.
-    pub fn evaluate_all(&self, confidence: f64) -> Result<WorkerReport> {
-        let workers: Vec<WorkerId> = self.stream.index().workers().collect();
-        self.estimator
-            .evaluate_workers_on(&self.stream, &workers, confidence)
-    }
-
-    /// [`IncrementalEvaluator::evaluate_all`] through the
-    /// epoch-versioned report cache: only workers whose assessment
-    /// inputs changed since their cached rows are re-evaluated, the
-    /// rest are cloned — bit-identical output, `O(|dirty|)`
-    /// evaluations per call (see [`crate::cached`]).
-    pub fn evaluate_all_cached(&mut self, confidence: f64) -> Result<WorkerReport> {
-        let workers: Vec<WorkerId> = self.stream.index().workers().collect();
-        self.cache
-            .refresh(&self.estimator, &self.stream, &workers, confidence)
-    }
-
-    /// Hit/miss counters of the report cache behind
-    /// [`IncrementalEvaluator::evaluate_all_cached`].
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-}
-
-/// Streaming evaluator for k-ary tasks: the m-worker Algorithm A3
-/// extension over the same maintained [`StreamingIndex`] substrate.
-///
-/// Counts tensors are harvested by union merges of the maintained
-/// adjacency rows and the `n₅` cross-triple counts are popcounts on
-/// the maintained anchored views, so — exactly like the binary
-/// evaluator — re-assessment after an ingest pays for triple pipelines
-/// and covariance assembly only. Outputs are bit-identical to
-/// [`KaryMWorkerEstimator::evaluate_all`] on the accumulated data.
-///
-/// # Example
-///
-/// ```
-/// use crowd_core::{EstimatorConfig, KaryIncrementalEvaluator};
-/// use crowd_sim::KaryScenario;
-///
-/// let instance = KaryScenario::paper_default(3, 200, 0.9)
-///     .with_workers(5)
-///     .generate(&mut crowd_sim::rng(7));
-/// let mut monitor = KaryIncrementalEvaluator::new(5, 200, 3, EstimatorConfig::default());
-/// for response in instance.responses().iter() {
-///     monitor.ingest(response)?;
-/// }
-/// let report = monitor.evaluate_all(0.9).unwrap();
-/// assert_eq!(report.assessments.len() + report.failures.len(), 5);
-/// # Ok::<(), crowd_data::DataError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct KaryIncrementalEvaluator {
-    stream: StreamingIndex,
-    estimator: KaryMWorkerEstimator,
-    /// See [`IncrementalEvaluator`]'s cache field.
-    cache: KaryReportCache,
-}
-
-impl KaryIncrementalEvaluator {
-    /// Creates an empty evaluator for `n_workers × n_tasks` responses
-    /// of the given arity.
-    pub fn new(n_workers: usize, n_tasks: usize, arity: u16, config: EstimatorConfig) -> Self {
-        Self {
-            stream: StreamingIndex::new(n_workers, n_tasks, arity),
-            estimator: KaryMWorkerEstimator::new(config),
-            cache: KaryReportCache::new(),
-        }
-    }
-
-    /// Seeds the evaluator from an existing response matrix.
-    pub fn from_matrix(data: &ResponseMatrix, config: EstimatorConfig) -> Self {
-        Self {
-            stream: StreamingIndex::from_matrix(data),
-            estimator: KaryMWorkerEstimator::new(config),
-            cache: KaryReportCache::new(),
-        }
-    }
-
-    /// Ingests one response; validation and costs as in
-    /// [`IncrementalEvaluator::ingest`].
-    pub fn ingest(&mut self, response: Response) -> crowd_data::Result<()> {
-        self.stream.record_response(response)
-    }
-
-    /// The maintained overlap index.
-    pub fn index(&self) -> &OverlapIndex {
-        self.stream.index()
-    }
-
-    /// Total responses ingested.
-    pub fn n_responses(&self) -> usize {
-        self.stream.n_responses()
-    }
-
-    /// Bytes resident across the maintained anchored mask matrices;
-    /// see [`IncrementalEvaluator::view_mask_bytes`].
-    pub fn view_mask_bytes(&self) -> usize {
-        self.stream.view_mask_bytes()
-    }
-
-    /// Evaluates one worker's k×k response-probability matrix on the
-    /// data seen so far; bit-identical to the batch
-    /// [`KaryMWorkerEstimator`] on the accumulated data.
-    pub fn evaluate_worker(
-        &self,
-        worker: WorkerId,
-        confidence: f64,
-    ) -> Result<KaryWorkerAssessment> {
-        self.estimator
-            .evaluate_worker_streaming(&self.stream, worker, confidence)
-    }
-
-    /// Evaluates every worker on the data seen so far.
-    pub fn evaluate_all(&self, confidence: f64) -> Result<KaryWorkerReport> {
+    pub fn evaluate_all(&self, confidence: f64) -> Result<Report<A::Row>> {
         let workers: Vec<WorkerId> = self.stream.index().workers().collect();
         self.estimator
             .evaluate_workers_streaming(&self.stream, &workers, confidence)
     }
 
-    /// [`KaryIncrementalEvaluator::evaluate_all`] through the
-    /// epoch-versioned report cache; see
-    /// [`IncrementalEvaluator::evaluate_all_cached`].
-    pub fn evaluate_all_cached(&mut self, confidence: f64) -> Result<KaryWorkerReport> {
+    /// [`Incremental::evaluate_all`] through the epoch-versioned report
+    /// cache: only workers whose assessment inputs changed since their
+    /// cached rows are re-evaluated, the rest are cloned — bit-identical
+    /// output, `O(|dirty|)` evaluations per call (see [`crate::cached`]).
+    pub fn evaluate_all_cached(&mut self, confidence: f64) -> Result<Report<A::Row>> {
         let workers: Vec<WorkerId> = self.stream.index().workers().collect();
         self.cache
             .refresh(&self.estimator, &self.stream, &workers, confidence)
     }
 
     /// Hit/miss counters of the report cache behind
-    /// [`KaryIncrementalEvaluator::evaluate_all_cached`].
+    /// [`Incremental::evaluate_all_cached`].
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }

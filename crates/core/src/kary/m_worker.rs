@@ -63,9 +63,10 @@
 //! (singular moment matrix, spectrum ties) no longer fails the
 //! worker, because the surviving triples carry the estimate.
 
+use crate::evaluation::AssessmentRow;
 use crate::kary::estimator::{TripleDetail, triple_detail};
 use crate::pairing::form_pairs_limited;
-use crate::{CoverageStats, EstimateError, EstimatorConfig, Result};
+use crate::{Assessment, CoverageStats, EstimateError, EstimatorConfig, Report, Result};
 use crowd_data::{
     AnchoredOverlap, AnchoredScratch, CountsTensor, OverlapIndex, OverlapSource, PeerGramScratch,
     ResponseMatrix, StreamingIndex, TriplePairGram, WorkerId,
@@ -100,7 +101,7 @@ pub struct KaryEvalScratch {
 /// # Example
 ///
 /// ```
-/// use crowd_core::{EstimatorConfig, KaryMWorkerEstimator};
+/// use crowd_core::{Assessment, EstimatorConfig, KaryMWorkerEstimator};
 /// use crowd_sim::KaryScenario;
 ///
 /// // 5 workers, 400 ternary tasks, 90% attempt density.
@@ -169,15 +170,14 @@ impl KaryWorkerAssessment {
     }
 }
 
-/// Per-worker outcomes of an [`KaryMWorkerEstimator::evaluate_all`]
-/// run; sparse data routinely leaves a few workers unevaluable.
-#[derive(Debug, Clone, Default)]
-pub struct KaryWorkerReport {
-    /// Workers successfully evaluated.
-    pub assessments: Vec<KaryWorkerAssessment>,
-    /// Workers that could not be evaluated, with the reason.
-    pub failures: Vec<(WorkerId, EstimateError)>,
+impl AssessmentRow for KaryWorkerAssessment {
+    fn worker(&self) -> WorkerId {
+        self.worker
+    }
 }
+
+/// The k-ary (m-worker A3) report.
+pub type KaryWorkerReport = Report<KaryWorkerAssessment>;
 
 impl KaryWorkerReport {
     /// Mean interval size over every assessed entry.
@@ -200,22 +200,6 @@ impl KaryWorkerReport {
             }
         }
         stats
-    }
-
-    /// Recombines disjoint partial reports into one fleet report in
-    /// canonical worker order — the k-ary twin of
-    /// [`crate::WorkerReport::merge`]: rows are kept verbatim and only
-    /// reordered (stable sort), so merged shard output is bit-identical
-    /// to a single-process `evaluate_all`.
-    pub fn merge(parts: impl IntoIterator<Item = KaryWorkerReport>) -> KaryWorkerReport {
-        let mut merged = KaryWorkerReport::default();
-        for part in parts {
-            merged.assessments.extend(part.assessments);
-            merged.failures.extend(part.failures);
-        }
-        merged.assessments.sort_by_key(|a| a.worker);
-        merged.failures.sort_by_key(|f| f.0);
-        merged
     }
 }
 
@@ -269,48 +253,10 @@ impl KaryMWorkerEstimator {
         })
     }
 
-    /// [`KaryMWorkerEstimator::evaluate_worker_indexed`] with
-    /// caller-held [`KaryEvalScratch`]: counts tensors are re-filled
-    /// in place and the anchored view is built into the scratch's
-    /// reusable mask words, so an evaluate-all loop allocates nothing
-    /// per worker once the buffers reach their high-water marks.
-    /// Outputs are bit-identical to the scratch-free path.
-    pub fn evaluate_worker_indexed_scratch(
-        &self,
-        index: &OverlapIndex,
-        worker: WorkerId,
-        confidence: f64,
-        scratch: &mut KaryEvalScratch,
-    ) -> Result<KaryWorkerAssessment> {
-        let KaryEvalScratch {
-            peers,
-            anchored,
-            tensor,
-            n5,
-            gram_scratch,
-        } = scratch;
-        self.evaluate_worker_via(
-            index,
-            worker,
-            confidence,
-            peers,
-            tensor,
-            n5,
-            gram_scratch,
-            |buf, a, b| {
-                // First use sizes the tensor; fill_from_index re-shapes
-                // on arity change, so cross-index scratch reuse is safe.
-                buf.get_or_insert_with(|| CountsTensor::zeros(index.arity() as usize))
-                    .fill_from_index(index, worker, a, b);
-            },
-            |ps| index.anchored_for_in(worker, ps, anchored),
-        )
-    }
-
     /// The substrate-generic worker evaluation behind the matrix,
     /// indexed and streaming entry points: overlap statistics come
     /// from `src`, counts tensors from the `tensor` closure.
-    pub(crate) fn evaluate_worker_with<S: OverlapSource>(
+    fn evaluate_worker_with<S: OverlapSource>(
         &self,
         src: &S,
         worker: WorkerId,
@@ -330,48 +276,15 @@ impl KaryMWorkerEstimator {
         )
     }
 
-    /// Evaluates one worker against a maintained [`StreamingIndex`]:
-    /// overlap statistics come from the stream's peer-scoped anchored
-    /// views, counts tensors from union merges of the accumulated
-    /// index's adjacency rows. Bit-identical to the batch
-    /// [`KaryMWorkerEstimator::evaluate_all`] row on the accumulated
-    /// data — the public entry point behind
-    /// [`crate::KaryIncrementalEvaluator`] and the shard-resident
-    /// assessment runtime.
-    pub fn evaluate_worker_streaming(
-        &self,
-        stream: &StreamingIndex,
-        worker: WorkerId,
-        confidence: f64,
-    ) -> Result<KaryWorkerAssessment> {
-        self.evaluate_worker_with(stream, worker, confidence, |a, b| {
-            CountsTensor::from_index(stream.index(), worker, a, b)
-        })
-    }
-
-    /// [`KaryMWorkerEstimator::evaluate_worker_streaming`] for a set
-    /// of workers, collecting per-worker outcomes into one
-    /// [`KaryWorkerReport`] (assessments and failures in `workers`
-    /// order); per-shard reports recombined with
-    /// [`KaryWorkerReport::merge`] equal a serial full-fleet pass.
+    /// [`Assessment::evaluate_workers_streaming`], callable without
+    /// the trait in scope.
     pub fn evaluate_workers_streaming(
         &self,
         stream: &StreamingIndex,
         workers: &[WorkerId],
         confidence: f64,
     ) -> Result<KaryWorkerReport> {
-        let m = OverlapSource::n_workers(stream);
-        if m < 3 {
-            return Err(EstimateError::NotEnoughWorkers { got: m, need: 3 });
-        }
-        let mut report = KaryWorkerReport::default();
-        for &worker in workers {
-            match self.evaluate_worker_streaming(stream, worker, confidence) {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((worker, e)),
-            }
-        }
-        Ok(report)
+        Assessment::evaluate_workers_streaming(self, stream, workers, confidence)
     }
 
     /// The evaluation body behind every entry point: pairing, the
@@ -573,138 +486,65 @@ impl KaryMWorkerEstimator {
             weights_fell_back: fell_back,
         })
     }
+}
 
-    /// Evaluates every worker, collecting per-worker failures instead
-    /// of aborting. Builds one [`OverlapIndex`] and runs every worker
-    /// against it, exactly like the binary
-    /// [`crate::MWorkerEstimator::evaluate_all`].
-    pub fn evaluate_all(&self, data: &ResponseMatrix, confidence: f64) -> Result<KaryWorkerReport> {
-        if data.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: data.n_workers(),
-                need: 3,
-            });
-        }
-        let index = OverlapIndex::from_matrix(data);
-        self.evaluate_all_indexed(&index, confidence)
+impl Assessment for KaryMWorkerEstimator {
+    type Row = KaryWorkerAssessment;
+    type Scratch = KaryEvalScratch;
+
+    fn from_config(config: EstimatorConfig) -> Self {
+        Self::new(config)
     }
 
-    /// [`KaryMWorkerEstimator::evaluate_all`] against a caller-built
-    /// index. One [`KaryEvalScratch`] (peer buffer + mask words +
-    /// counts tensor) is reused across the whole worker loop,
-    /// mirroring the binary path.
-    pub fn evaluate_all_indexed(
+    /// Counts tensors are re-filled in place and the anchored view is
+    /// built into the scratch's reusable mask words, so an
+    /// evaluate-all loop allocates nothing per worker once the buffers
+    /// reach their high-water marks. Bit-identical to
+    /// [`KaryMWorkerEstimator::evaluate_worker_indexed`].
+    fn assess_indexed(
         &self,
         index: &OverlapIndex,
+        worker: WorkerId,
         confidence: f64,
-    ) -> Result<KaryWorkerReport> {
-        if index.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: index.n_workers(),
-                need: 3,
-            });
-        }
-        let mut scratch = KaryEvalScratch::default();
-        let mut report = KaryWorkerReport::default();
-        for worker in index.workers() {
-            match self.evaluate_worker_indexed_scratch(index, worker, confidence, &mut scratch) {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((worker, e)),
-            }
-        }
-        Ok(report)
-    }
-
-    /// [`KaryMWorkerEstimator::evaluate_all`] across `threads` scoped
-    /// worker threads sharing one [`OverlapIndex`], with the same
-    /// deterministic contiguous chunking as the binary estimator —
-    /// output is identical to the serial path for every thread count.
-    pub fn evaluate_all_parallel(
-        &self,
-        data: &ResponseMatrix,
-        confidence: f64,
-        threads: usize,
-    ) -> Result<KaryWorkerReport> {
-        let m = data.n_workers();
-        if m < 3 {
-            return Err(EstimateError::NotEnoughWorkers { got: m, need: 3 });
-        }
-        let index = OverlapIndex::from_matrix(data);
-        self.evaluate_all_indexed_parallel(&index, confidence, threads)
-    }
-
-    /// Parallel [`KaryMWorkerEstimator::evaluate_all_indexed`]: each
-    /// thread holds one [`KaryEvalScratch`] reused across its whole
-    /// contiguous chunk, and scratch state never influences outputs,
-    /// so the report stays bit-identical to the serial path for every
-    /// thread count.
-    pub fn evaluate_all_indexed_parallel(
-        &self,
-        index: &OverlapIndex,
-        confidence: f64,
-        threads: usize,
-    ) -> Result<KaryWorkerReport> {
-        let m = index.n_workers();
-        if m < 3 {
-            return Err(EstimateError::NotEnoughWorkers { got: m, need: 3 });
-        }
-        let threads = threads.max(1).min(m);
-        if threads == 1 {
-            return self.evaluate_all_indexed(index, confidence);
-        }
-        let outcomes = crate::parallel::parallel_index_map_with(
-            m,
-            threads,
-            KaryEvalScratch::default,
-            |scratch, i| {
-                self.evaluate_worker_indexed_scratch(index, WorkerId(i as u32), confidence, scratch)
+        scratch: &mut KaryEvalScratch,
+    ) -> Result<KaryWorkerAssessment> {
+        let KaryEvalScratch {
+            peers,
+            anchored,
+            tensor,
+            n5,
+            gram_scratch,
+        } = scratch;
+        self.evaluate_worker_via(
+            index,
+            worker,
+            confidence,
+            peers,
+            tensor,
+            n5,
+            gram_scratch,
+            |buf, a, b| {
+                // First use sizes the tensor; fill_from_index re-shapes
+                // on arity change, so cross-index scratch reuse is safe.
+                buf.get_or_insert_with(|| CountsTensor::zeros(index.arity() as usize))
+                    .fill_from_index(index, worker, a, b);
             },
-        );
-        let mut report = KaryWorkerReport::default();
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((WorkerId(i as u32), e)),
-            }
-        }
-        Ok(report)
+            |ps| index.anchored_for_in(worker, ps, anchored),
+        )
     }
 
-    /// Evaluates only the given workers — the k-ary shard entry point,
-    /// mirroring
-    /// [`crate::MWorkerEstimator::evaluate_workers_indexed_parallel`]:
-    /// per-thread [`KaryEvalScratch`] reuse, outcomes in `workers`
-    /// order, each row bit-identical to the corresponding row of a
-    /// full-fleet run.
-    pub fn evaluate_workers_indexed_parallel(
+    /// Overlap statistics come from the stream's peer-scoped anchored
+    /// views, counts tensors from union merges of the accumulated
+    /// index's adjacency rows.
+    fn assess_streaming(
         &self,
-        index: &OverlapIndex,
-        workers: &[WorkerId],
+        stream: &StreamingIndex,
+        worker: WorkerId,
         confidence: f64,
-        threads: usize,
-    ) -> Result<KaryWorkerReport> {
-        if index.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: index.n_workers(),
-                need: 3,
-            });
-        }
-        let outcomes = crate::parallel::parallel_index_map_with(
-            workers.len(),
-            threads.max(1),
-            KaryEvalScratch::default,
-            |scratch, i| {
-                self.evaluate_worker_indexed_scratch(index, workers[i], confidence, scratch)
-            },
-        );
-        let mut report = KaryWorkerReport::default();
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((workers[i], e)),
-            }
-        }
-        Ok(report)
+    ) -> Result<KaryWorkerAssessment> {
+        self.evaluate_worker_with(stream, worker, confidence, |a, b| {
+            CountsTensor::from_index(stream.index(), worker, a, b)
+        })
     }
 }
 
@@ -1024,7 +864,7 @@ mod tests {
         let mut scratch = KaryEvalScratch::default();
         for worker in index.workers() {
             let fresh = est.evaluate_worker_indexed(&index, worker, 0.9);
-            let reused = est.evaluate_worker_indexed_scratch(&index, worker, 0.9, &mut scratch);
+            let reused = est.assess_indexed(&index, worker, 0.9, &mut scratch);
             match (fresh, reused) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.triples_used, b.triples_used, "worker {worker:?}");
@@ -1051,8 +891,7 @@ mod tests {
                 .generate(&mut rng(seed));
             let index = OverlapIndex::from_matrix(inst.responses());
             let fresh = est.evaluate_worker_indexed(&index, WorkerId(0), 0.9);
-            let reused =
-                est.evaluate_worker_indexed_scratch(&index, WorkerId(0), 0.9, &mut scratch);
+            let reused = est.assess_indexed(&index, WorkerId(0), 0.9, &mut scratch);
             match (fresh, reused) {
                 (Ok(a), Ok(b)) => {
                     for (x, y) in a.intervals.iter().zip(&b.intervals) {

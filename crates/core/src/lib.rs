@@ -33,6 +33,7 @@
 
 pub mod aggregation;
 pub mod agreement;
+pub mod assessment;
 pub mod baselines;
 pub mod cached;
 pub mod config;
@@ -48,11 +49,12 @@ pub mod preprocess;
 pub mod three_worker;
 
 pub use aggregation::{AggregatedAnswer, AnswerAggregator, MapAggregator, WeightingRule};
+pub use assessment::Assessment;
 pub use cached::{CacheStats, KaryReportCache, ReportCache};
 pub use config::{DegeneracyPolicy, EstimatorConfig};
 pub use error::{EstimateError, Result};
-pub use evaluation::{CoverageStats, WorkerAssessment, WorkerReport};
-pub use incremental::{IncrementalEvaluator, KaryIncrementalEvaluator};
+pub use evaluation::{AssessmentRow, CoverageStats, Report, WorkerAssessment, WorkerReport};
+pub use incremental::{Incremental, IncrementalEvaluator, KaryIncrementalEvaluator};
 pub use kary::{
     KaryAssessment, KaryEstimator, KaryEvalScratch, KaryMWorkerEstimator, KaryWorkerAssessment,
     KaryWorkerReport, ProbEstimate,

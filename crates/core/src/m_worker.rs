@@ -27,11 +27,14 @@
 //! well-overlapped peers are then reported as failures instead of
 //! being silently mis-estimated.
 
+use crate::assessment::population;
 use crate::three_worker::{ThreeWorkerEstimator, TripleEstimate};
-use crate::{EstimateError, EstimatorConfig, Result, WorkerAssessment, WorkerReport};
+use crate::{
+    Assessment, EstimateError, EstimatorConfig, Report, Result, WorkerAssessment, WorkerReport,
+};
 use crowd_data::{
     AnchoredOverlap, AnchoredScratch, CachedOverlap, OverlapIndex, OverlapSource, PeerGram,
-    PeerGramScratch, ResponseMatrix, WorkerId,
+    PeerGramScratch, ResponseMatrix, StreamingIndex, WorkerId,
 };
 use crowd_linalg::Matrix;
 use crowd_stats::{ConfidenceInterval, min_variance_weights};
@@ -54,7 +57,7 @@ pub struct EvalScratch {
 /// # Example
 ///
 /// ```
-/// use crowd_core::{EstimatorConfig, MWorkerEstimator};
+/// use crowd_core::{Assessment, EstimatorConfig, MWorkerEstimator};
 /// use crowd_sim::BinaryScenario;
 ///
 /// // 7 workers, 100 binary tasks, 80% attempt density.
@@ -144,57 +147,15 @@ impl MWorkerEstimator {
         )
     }
 
-    /// [`MWorkerEstimator::evaluate_worker_on`] for a set of workers,
-    /// collecting per-worker outcomes into one [`WorkerReport`]
-    /// (assessments and failures in `workers` order). This is the
-    /// subset entry point the shard-resident assessment runtime uses
-    /// to answer snapshot requests from its maintained streaming
-    /// substrate; rows are bit-identical to evaluating each worker
-    /// individually, so reports merged across shards with
-    /// [`WorkerReport::merge`] equal a serial full-fleet pass.
-    pub fn evaluate_workers_on<S: OverlapSource>(
+    /// [`Assessment::evaluate_workers_streaming`], callable without
+    /// the trait in scope.
+    pub fn evaluate_workers_on(
         &self,
-        src: &S,
+        stream: &StreamingIndex,
         workers: &[WorkerId],
         confidence: f64,
     ) -> Result<WorkerReport> {
-        if src.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: src.n_workers(),
-                need: 3,
-            });
-        }
-        let mut report = WorkerReport::default();
-        for &worker in workers {
-            match self.evaluate_worker_on(src, worker, confidence) {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((worker, e)),
-            }
-        }
-        Ok(report)
-    }
-
-    /// [`MWorkerEstimator::evaluate_worker_on`] against an
-    /// [`OverlapIndex`] with caller-held [`EvalScratch`]: the anchored
-    /// view is built into the scratch's reusable mask words, so an
-    /// evaluate-all loop allocates nothing per worker. Outputs are
-    /// bit-identical to the scratch-free path.
-    pub fn evaluate_worker_indexed_scratch(
-        &self,
-        index: &OverlapIndex,
-        worker: WorkerId,
-        confidence: f64,
-        scratch: &mut EvalScratch,
-    ) -> Result<WorkerAssessment> {
-        let EvalScratch {
-            peers,
-            anchored,
-            gram,
-            gram_scratch,
-        } = scratch;
-        self.evaluate_worker_via(index, worker, confidence, peers, gram, gram_scratch, |ps| {
-            index.anchored_for_in(worker, ps, anchored)
-        })
+        self.evaluate_workers_streaming(stream, workers, confidence)
     }
 
     /// The evaluation body behind both entry points: pairing, the
@@ -294,175 +255,21 @@ impl MWorkerEstimator {
         })
     }
 
-    /// Evaluates every worker, collecting per-worker failures instead
-    /// of aborting (sparse real data routinely has a few unevaluable
-    /// workers).
-    ///
-    /// Builds one [`OverlapIndex`] over the matrix and evaluates every
-    /// worker against it — the index is built in a single pass and
-    /// every downstream statistic becomes a table lookup or bitset
-    /// popcount. Results are identical to the per-worker scan path
-    /// ([`MWorkerEstimator::evaluate_all_naive`]).
-    pub fn evaluate_all(&self, data: &ResponseMatrix, confidence: f64) -> Result<WorkerReport> {
-        if data.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: data.n_workers(),
-                need: 3,
-            });
-        }
-        let index = OverlapIndex::from_matrix(data);
-        self.evaluate_all_indexed(&index, confidence)
-    }
-
-    /// [`MWorkerEstimator::evaluate_all`] against a caller-built
-    /// [`OverlapIndex`] — for pipelines that reuse one index across
-    /// many operations (assessment, pairing diagnostics, k-ary runs).
-    /// One [`EvalScratch`] (peer buffer + anchored mask words) is
-    /// reused across the whole worker loop.
-    pub fn evaluate_all_indexed(
-        &self,
-        index: &OverlapIndex,
-        confidence: f64,
-    ) -> Result<WorkerReport> {
-        if index.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: index.n_workers(),
-                need: 3,
-            });
-        }
-        let mut scratch = EvalScratch::default();
-        let mut report = WorkerReport::default();
-        for worker in index.workers() {
-            match self.evaluate_worker_indexed_scratch(index, worker, confidence, &mut scratch) {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((worker, e)),
-            }
-        }
-        Ok(report)
-    }
-
     /// The pre-index reference path: evaluates every worker by direct
     /// merge scans over the matrix, recomputing every pairwise and
     /// triple statistic at each use. Kept as the correctness baseline
     /// for the equivalence property tests and as the "naive" side of
-    /// the scaling benchmarks; use [`MWorkerEstimator::evaluate_all`]
+    /// the scaling benchmarks; use [`Assessment::evaluate_all`]
     /// everywhere else.
     pub fn evaluate_all_naive(
         &self,
         data: &ResponseMatrix,
         confidence: f64,
     ) -> Result<WorkerReport> {
-        if data.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: data.n_workers(),
-                need: 3,
-            });
-        }
-        let mut report = WorkerReport::default();
-        for worker in data.workers() {
-            match self.evaluate_worker(data, worker, confidence) {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((worker, e)),
-            }
-        }
-        Ok(report)
-    }
-
-    /// [`MWorkerEstimator::evaluate_all`] across `threads` worker
-    /// threads, sharing one [`OverlapIndex`]. Workers are split into
-    /// contiguous chunks by id — the same deterministic scoped-thread
-    /// chunking as the bench runner — and per-worker evaluations are
-    /// independent, so the report is bit-identical to the serial one
-    /// (assessments in worker order) regardless of thread count.
-    pub fn evaluate_all_parallel(
-        &self,
-        data: &ResponseMatrix,
-        confidence: f64,
-        threads: usize,
-    ) -> Result<WorkerReport> {
-        let m = data.n_workers();
-        if m < 3 {
-            return Err(EstimateError::NotEnoughWorkers { got: m, need: 3 });
-        }
-        let index = OverlapIndex::from_matrix(data);
-        self.evaluate_all_indexed_parallel(&index, confidence, threads)
-    }
-
-    /// Parallel [`MWorkerEstimator::evaluate_all_indexed`]; see
-    /// [`MWorkerEstimator::evaluate_all_parallel`]. Each thread holds
-    /// one [`EvalScratch`] reused across its whole contiguous chunk —
-    /// no per-worker view allocation — and scratch state never
-    /// influences outputs, so the report stays bit-identical to the
-    /// serial path for every thread count.
-    pub fn evaluate_all_indexed_parallel(
-        &self,
-        index: &OverlapIndex,
-        confidence: f64,
-        threads: usize,
-    ) -> Result<WorkerReport> {
-        let m = index.n_workers();
-        if m < 3 {
-            return Err(EstimateError::NotEnoughWorkers { got: m, need: 3 });
-        }
-        let threads = threads.max(1).min(m);
-        if threads == 1 {
-            return self.evaluate_all_indexed(index, confidence);
-        }
-        let outcomes = crate::parallel::parallel_worker_map_with(
-            m,
-            threads,
-            EvalScratch::default,
-            |scratch, worker| {
-                self.evaluate_worker_indexed_scratch(index, worker, confidence, scratch)
-            },
-        );
-        let mut report = WorkerReport::default();
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((WorkerId(i as u32), e)),
-            }
-        }
-        Ok(report)
-    }
-
-    /// Evaluates only the given workers — the shard entry point:
-    /// a shard process calls this for its anchor range against its
-    /// scoped index. Chunking, per-thread [`EvalScratch`] reuse and
-    /// outcome collection match
-    /// [`MWorkerEstimator::evaluate_all_indexed_parallel`] exactly, so
-    /// each returned row is bit-identical to the corresponding row of
-    /// a full-fleet run (assessments and failures in `workers` order —
-    /// pass an ascending range for canonical order).
-    pub fn evaluate_workers_indexed_parallel(
-        &self,
-        index: &OverlapIndex,
-        workers: &[WorkerId],
-        confidence: f64,
-        threads: usize,
-    ) -> Result<WorkerReport> {
-        if index.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: index.n_workers(),
-                need: 3,
-            });
-        }
-        let outcomes = crate::parallel::parallel_index_map_with(
-            workers.len(),
-            threads.max(1),
-            EvalScratch::default,
-            |scratch, i| {
-                self.evaluate_worker_indexed_scratch(index, workers[i], confidence, scratch)
-            },
-        );
-        let mut report = WorkerReport::default();
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(a) => report.assessments.push(a),
-                Err(e) => report.failures.push((workers[i], e)),
-            }
-        }
-        Ok(report)
+        population(data.n_workers())?;
+        Ok(Report::collect(data.workers().map(|worker| {
+            (worker, self.evaluate_worker(data, worker, confidence))
+        })))
     }
 
     /// Lemma 4: the l×l covariance matrix of the per-triple estimates
@@ -547,6 +354,45 @@ impl MWorkerEstimator {
             }
         }
         cov
+    }
+}
+
+impl Assessment for MWorkerEstimator {
+    type Row = WorkerAssessment;
+    type Scratch = EvalScratch;
+
+    fn from_config(config: EstimatorConfig) -> Self {
+        Self::new(config)
+    }
+
+    /// The anchored view is built into the scratch's reusable mask
+    /// words, so an evaluate-all loop allocates nothing per worker.
+    /// Bit-identical to [`MWorkerEstimator::evaluate_worker_on`].
+    fn assess_indexed(
+        &self,
+        index: &OverlapIndex,
+        worker: WorkerId,
+        confidence: f64,
+        scratch: &mut EvalScratch,
+    ) -> Result<WorkerAssessment> {
+        let EvalScratch {
+            peers,
+            anchored,
+            gram,
+            gram_scratch,
+        } = scratch;
+        self.evaluate_worker_via(index, worker, confidence, peers, gram, gram_scratch, |ps| {
+            index.anchored_for_in(worker, ps, anchored)
+        })
+    }
+
+    fn assess_streaming(
+        &self,
+        stream: &StreamingIndex,
+        worker: WorkerId,
+        confidence: f64,
+    ) -> Result<WorkerAssessment> {
+        self.evaluate_worker_on(stream, worker, confidence)
     }
 }
 
@@ -758,7 +604,7 @@ mod tests {
         let mut scratch = EvalScratch::default();
         for worker in index.workers() {
             let fresh = est.evaluate_worker_on(&index, worker, 0.9);
-            let reused = est.evaluate_worker_indexed_scratch(&index, worker, 0.9, &mut scratch);
+            let reused = est.assess_indexed(&index, worker, 0.9, &mut scratch);
             match (fresh, reused) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.interval, b.interval, "worker {worker:?}");

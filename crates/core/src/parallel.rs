@@ -1,7 +1,5 @@
 //! Deterministic scoped-thread fan-out.
 
-use crowd_data::WorkerId;
-
 /// Runs `f(i)` for every index in `0..count` across `threads` scoped
 /// threads, returning results in index order.
 ///
@@ -59,18 +57,6 @@ pub fn parallel_index_map_with<S, T: Send>(
         .collect()
 }
 
-/// [`parallel_index_map_with`] over worker ids.
-pub(crate) fn parallel_worker_map_with<S, T: Send>(
-    m: usize,
-    threads: usize,
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, WorkerId) -> T + Sync,
-) -> Vec<T> {
-    parallel_index_map_with(m, threads, init, |scratch, i| {
-        f(scratch, WorkerId(i as u32))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,15 +64,15 @@ mod tests {
     #[test]
     fn covers_every_worker_in_order() {
         for threads in [1usize, 2, 3, 8, 64] {
-            let out = parallel_worker_map_with(23, threads, || (), |(), w| w.0 * 2);
-            let expect: Vec<u32> = (0..23).map(|w| w * 2).collect();
+            let out = parallel_index_map(23, threads, |i| i * 2);
+            let expect: Vec<usize> = (0..23).map(|i| i * 2).collect();
             assert_eq!(out, expect, "threads = {threads}");
         }
     }
 
     #[test]
     fn zero_workers_is_empty() {
-        assert!(parallel_worker_map_with(0, 4, || (), |(), w| w).is_empty());
+        assert!(parallel_index_map(0, 4, |i| i).is_empty());
     }
 
     #[test]

@@ -150,6 +150,7 @@ impl PolicyScore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Assessment;
     use crate::{EstimatorConfig, MWorkerEstimator};
     use crowd_sim::{BinaryScenario, rng};
     use crowd_stats::ConfidenceInterval;

@@ -3,7 +3,7 @@
 use crowd_core::agreement::{Triangle, agreement_from_errors};
 use crowd_core::kary::{align_rows_greedy, fix_row_signs, population_counts, prob_estimate};
 use crowd_core::{
-    DegeneracyPolicy, EstimatorConfig, KaryMWorkerEstimator, MWorkerEstimator,
+    Assessment, DegeneracyPolicy, EstimatorConfig, KaryMWorkerEstimator, MWorkerEstimator,
     ThreeWorkerEstimator, WorkerReport,
 };
 use crowd_data::{Label, OverlapIndex, ResponseMatrix, ResponseMatrixBuilder, TaskId, WorkerId};

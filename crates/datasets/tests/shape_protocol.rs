@@ -2,6 +2,7 @@
 //! statistics the paper publishes for its real dataset, across seeds —
 //! otherwise the Figure 3/4/5c protocols run on the wrong workload.
 
+use crowd_core::Assessment;
 use crowd_data::WorkerId;
 use crowd_datasets::{Dataset, triples_with_overlap};
 

@@ -7,7 +7,7 @@ use crowd_core::EstimatorConfig;
 
 use crate::fault::FaultPlan;
 
-/// What [`crate::AssessmentService::ingest_batch`] does when a shard's
+/// What [`crate::ServiceHandle::ingest_batch`] does when a shard's
 /// bounded queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackpressurePolicy {

@@ -23,7 +23,7 @@
 //!   the response for per-shard state to stay bit-identical to the
 //!   unsharded substrate. Assessment requests route to the home shard
 //!   ([`crowd_shard::ShardPlan::shard_of`]) alone.
-//! * **Batching** — [`AssessmentService::ingest_batch`] groups a batch
+//! * **Batching** — [`ServiceHandle::ingest_batch`] groups a batch
 //!   by subscribing shard and hands each shard one contiguous
 //!   [`Vec`], so queue traffic and wakeups are per *batch*, not per
 //!   response.
@@ -33,15 +33,18 @@
 //!   [`ServiceError::QueueFull`], per [`BackpressurePolicy`].
 //! * **Ordering** — each shard processes its queue in FIFO order, so
 //!   any assessment enqueued after an ingest observes it, and a
-//!   [`AssessmentService::drain`] barrier (or a snapshot, which rides
+//!   [`ServiceHandle::drain`] barrier (or a snapshot, which rides
 //!   the same queues) observes *all* prior ingests.
 //! * **Bit-identity** — per-shard snapshot reports recombine through
-//!   [`crowd_shard::merge_reports`] /
-//!   [`crowd_shard::merge_kary_reports`]; at every drain point the
-//!   merged report is bit-identical to a single-threaded
-//!   [`crowd_core::IncrementalEvaluator`] /
-//!   [`crowd_core::KaryIncrementalEvaluator`] fed the same responses,
-//!   in any arrival order (`tests/pipeline_equivalence.rs`).
+//!   [`crowd_shard::merge_reports`]; at every drain point the merged
+//!   report is bit-identical to a single-threaded
+//!   [`crowd_core::Incremental`] evaluator fed the same responses, in
+//!   any arrival order (`tests/pipeline_equivalence.rs`).
+//! * **One path per request, both estimators** — each shard holds one
+//!   lane per estimator (the estimator and its report cache), and the
+//!   binary and k-ary requests, snapshots and degraded snapshots run
+//!   the same code, generic over [`crowd_core::Assessment`]; the
+//!   `_kary` methods select the k-ary estimator.
 //!
 //! # Per-request cost
 //!
@@ -67,7 +70,7 @@
 //! Runtime health is observable, not vibes: per-shard queue-depth
 //! high-water marks, a batch-size histogram, and the streaming
 //! substrate's re-anchor / gram-patch / gram-rebuild diagnostics are
-//! all surfaced through [`AssessmentService::stats`] (see
+//! all surfaced through [`ServiceHandle::stats`] (see
 //! [`ServiceStats`]) and land in the `scaling_pr6` bench JSON.
 
 mod config;
@@ -81,8 +84,5 @@ pub use config::{BackpressurePolicy, ServiceConfig};
 pub use error::ServiceError;
 pub use fault::{CrashPoint, FaultPlan};
 pub use metrics::{ServiceMetrics, StageTimings};
-pub use runtime::{
-    AssessmentService, DegradedKarySnapshot, DegradedSnapshot, IngestReceipt, ServiceHandle,
-    ShardOutage,
-};
+pub use runtime::{AssessmentService, DegradedSnapshot, IngestReceipt, ServiceHandle, ShardOutage};
 pub use stats::{BatchHistogram, ServiceStats, ShardStats};

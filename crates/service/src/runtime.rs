@@ -9,12 +9,12 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crowd_core::{
-    EstimatorConfig, KaryMWorkerEstimator, KaryReportCache, KaryWorkerAssessment, KaryWorkerReport,
-    MWorkerEstimator, ReportCache, WorkerAssessment, WorkerReport,
+    Assessment, CacheStats, EstimatorConfig, KaryMWorkerEstimator, KaryWorkerAssessment,
+    KaryWorkerReport, MWorkerEstimator, Report, ReportCache, WorkerAssessment, WorkerReport,
 };
 use crowd_data::{DataError, PairBackend, Response, StreamingIndex, WorkerId};
 use crowd_obs::{EventJournal, EventKind};
-use crowd_shard::{ShardPlan, merge_kary_reports, merge_reports};
+use crowd_shard::{ShardPlan, merge_reports};
 
 use crate::config::{BackpressurePolicy, ServiceConfig};
 use crate::error::ServiceError;
@@ -59,28 +59,11 @@ impl QueueDepth {
 enum ShardMsg {
     /// A contiguous group of responses subscribed to this shard.
     Ingest(Vec<Response>),
-    /// Evaluate one worker (binary, Algorithm A2).
-    AssessWorker {
-        worker: WorkerId,
-        confidence: f64,
-        reply: Sender<Result<WorkerAssessment, ServiceError>>,
-    },
-    /// Evaluate one worker (k-ary, the m-worker A3 extension).
-    AssessWorkerKary {
-        worker: WorkerId,
-        confidence: f64,
-        reply: Sender<Result<KaryWorkerAssessment, ServiceError>>,
-    },
-    /// Evaluate all of this shard's anchors (binary).
-    AssessAnchors {
-        confidence: f64,
-        reply: Sender<Result<WorkerReport, ServiceError>>,
-    },
-    /// Evaluate all of this shard's anchors (k-ary).
-    AssessAnchorsKary {
-        confidence: f64,
-        reply: Sender<Result<KaryWorkerReport, ServiceError>>,
-    },
+    /// An assessment request for the binary estimator (Algorithm A2).
+    Binary(Assess<WorkerAssessment>),
+    /// An assessment request for the k-ary estimator (the m-worker A3
+    /// extension).
+    Kary(Assess<KaryWorkerAssessment>),
     /// Report the shard's counters.
     Stats { reply: Sender<ShardStats> },
     /// FIFO barrier: reply once everything enqueued earlier has been
@@ -96,28 +79,134 @@ enum ShardMsg {
     Panic,
 }
 
+/// An assessment request for one estimator, whose rows are `R`.
+enum Assess<R> {
+    /// Evaluate one worker.
+    Worker {
+        worker: WorkerId,
+        confidence: f64,
+        reply: Sender<Result<R, ServiceError>>,
+    },
+    /// Evaluate all of this shard's anchors.
+    Anchors {
+        confidence: f64,
+        reply: Sender<Result<Report<R>, ServiceError>>,
+    },
+}
+
+/// One estimator's state on a shard: the estimator and the
+/// epoch-versioned rows of its last assessments, keyed to the shard's
+/// stream — drain-point snapshots re-evaluate only anchors dirtied
+/// since their cached rows, bit-identically (see `crowd_core::cached`).
+struct Lane<A: Assessment> {
+    estimator: A,
+    cache: ReportCache<A>,
+}
+
+impl<A: Assessment> Lane<A> {
+    fn new(config: EstimatorConfig) -> Self {
+        Self {
+            estimator: A::from_config(config),
+            cache: ReportCache::new(),
+        }
+    }
+
+    /// Answers one request from the shard's substrate, through the
+    /// cache when `incremental`, recomputing from scratch otherwise.
+    fn answer(
+        &mut self,
+        request: Assess<A::Row>,
+        stream: &StreamingIndex,
+        anchors: &[WorkerId],
+        incremental: bool,
+    ) {
+        match request {
+            Assess::Worker {
+                worker,
+                confidence,
+                reply,
+            } => {
+                let out = if incremental {
+                    self.cache
+                        .assess(&self.estimator, stream, worker, confidence)
+                } else {
+                    self.estimator.assess_streaming(stream, worker, confidence)
+                };
+                let _ = reply.send(out.map_err(ServiceError::Estimate));
+            }
+            Assess::Anchors { confidence, reply } => {
+                let out = if incremental {
+                    self.cache
+                        .refresh(&self.estimator, stream, anchors, confidence)
+                } else {
+                    self.estimator
+                        .evaluate_workers_streaming(stream, anchors, confidence)
+                };
+                let _ = reply.send(out.map_err(ServiceError::Estimate));
+            }
+        }
+    }
+}
+
+/// The shard's estimator lanes, one per estimator the service serves.
+struct Lanes {
+    binary: Lane<MWorkerEstimator>,
+    kary: Lane<KaryMWorkerEstimator>,
+}
+
+impl Lanes {
+    /// Both caches' cumulative counters, summed (`last_dirty` is per
+    /// refresh call, so it is left at 0).
+    fn cache_stats(&self) -> CacheStats {
+        let (b, k) = (self.binary.cache.stats(), self.kary.cache.stats());
+        CacheStats {
+            hits: b.hits + k.hits,
+            misses: b.misses + k.misses,
+            full_refreshes: b.full_refreshes + k.full_refreshes,
+            last_dirty: 0,
+        }
+    }
+}
+
+/// How one estimator's requests travel: the message variant that
+/// carries them to a shard and the lane that answers them there.
+trait Routed: Assessment {
+    fn message(request: Assess<Self::Row>) -> ShardMsg;
+    fn lane(lanes: &mut Lanes) -> &mut Lane<Self>;
+}
+
+impl Routed for MWorkerEstimator {
+    fn message(request: Assess<WorkerAssessment>) -> ShardMsg {
+        ShardMsg::Binary(request)
+    }
+    fn lane(lanes: &mut Lanes) -> &mut Lane<Self> {
+        &mut lanes.binary
+    }
+}
+
+impl Routed for KaryMWorkerEstimator {
+    fn message(request: Assess<KaryWorkerAssessment>) -> ShardMsg {
+        ShardMsg::Kary(request)
+    }
+    fn lane(lanes: &mut Lanes) -> &mut Lane<Self> {
+        &mut lanes.kary
+    }
+}
+
 /// The state one shard thread owns.
 struct ShardWorker {
     stream: StreamingIndex,
-    binary: MWorkerEstimator,
-    kary: KaryMWorkerEstimator,
     anchors: Vec<WorkerId>,
     /// `is_home[w]`: this shard evaluates `w`, so it is the one shard
     /// that counts `w`'s rejected responses (exact fleet totals).
     is_home: Vec<bool>,
     depth: Arc<QueueDepth>,
     stats: ShardStats,
-    /// Whether assessment requests go through the epoch-versioned
-    /// report caches below ([`ServiceConfig::incremental`]); off means
-    /// every request recomputes from scratch.
+    /// Whether assessment requests go through the lanes' report
+    /// caches ([`ServiceConfig::incremental`]); off means every request
+    /// recomputes from scratch.
     incremental: bool,
-    /// Epoch-versioned rows of the last binary assessments, keyed to
-    /// this shard's `stream` — drain-point snapshots re-evaluate only
-    /// anchors dirtied since their cached rows, bit-identically (see
-    /// `crowd_core::cached`).
-    binary_cache: ReportCache,
-    /// The k-ary twin.
-    kary_cache: KaryReportCache,
+    lanes: Lanes,
     /// Stage timers + journal wiring; `None` when spawned with
     /// [`ServiceConfig::metrics`] off. Nothing behind this Option is
     /// ever consulted by evaluation — only timed around it.
@@ -209,8 +298,6 @@ impl ShardSeed {
                 self.arity,
                 PairBackend::Sparse,
             ),
-            binary: MWorkerEstimator::new(self.estimator.clone()),
-            kary: KaryMWorkerEstimator::new(self.estimator.clone()),
             anchors: self.anchors.clone(),
             is_home: self.is_home.clone(),
             depth: Arc::clone(&self.depth),
@@ -219,8 +306,10 @@ impl ShardSeed {
                 ..ShardStats::default()
             },
             incremental: self.incremental,
-            binary_cache: ReportCache::new(),
-            kary_cache: KaryReportCache::new(),
+            lanes: Lanes {
+                binary: Lane::new(self.estimator.clone()),
+                kary: Lane::new(self.estimator.clone()),
+            },
             obs: self.timers.as_ref().map(|timers| ShardObs {
                 timers: Arc::clone(timers),
                 journal: Arc::clone(self.journal.as_ref().expect("timers imply journal")),
@@ -424,80 +513,11 @@ impl ShardWorker {
                     }
                     self.observe_stage(Stage::BatchApply, t0);
                 }
-                ShardMsg::AssessWorker {
-                    worker,
-                    confidence,
-                    reply,
-                } => {
-                    self.fire_assess_crash(guard);
-                    let t0 = self.obs.as_ref().map(|_| Instant::now());
-                    self.stats.assess_requests += 1;
-                    let out = if self.incremental {
-                        self.binary_cache
-                            .assess(&self.binary, &self.stream, worker, confidence)
-                    } else {
-                        self.binary
-                            .evaluate_worker_on(&self.stream, worker, confidence)
-                    }
-                    .map_err(ServiceError::Estimate);
-                    self.observe_stage(Stage::DrainEval, t0);
-                    let _ = reply.send(out);
+                ShardMsg::Binary(request) => {
+                    self.assess::<MWorkerEstimator>(guard, request);
                 }
-                ShardMsg::AssessWorkerKary {
-                    worker,
-                    confidence,
-                    reply,
-                } => {
-                    self.fire_assess_crash(guard);
-                    let t0 = self.obs.as_ref().map(|_| Instant::now());
-                    self.stats.assess_requests += 1;
-                    let out = if self.incremental {
-                        self.kary_cache
-                            .assess(&self.kary, &self.stream, worker, confidence)
-                    } else {
-                        self.kary
-                            .evaluate_worker_streaming(&self.stream, worker, confidence)
-                    }
-                    .map_err(ServiceError::Estimate);
-                    self.observe_stage(Stage::DrainEval, t0);
-                    let _ = reply.send(out);
-                }
-                ShardMsg::AssessAnchors { confidence, reply } => {
-                    self.fire_assess_crash(guard);
-                    let t0 = self.obs.as_ref().map(|_| Instant::now());
-                    self.stats.assess_requests += 1;
-                    let out = if self.incremental {
-                        self.binary_cache.refresh(
-                            &self.binary,
-                            &self.stream,
-                            &self.anchors,
-                            confidence,
-                        )
-                    } else {
-                        self.binary
-                            .evaluate_workers_on(&self.stream, &self.anchors, confidence)
-                    }
-                    .map_err(ServiceError::Estimate);
-                    self.observe_stage(Stage::DrainEval, t0);
-                    let _ = reply.send(out);
-                }
-                ShardMsg::AssessAnchorsKary { confidence, reply } => {
-                    self.fire_assess_crash(guard);
-                    let t0 = self.obs.as_ref().map(|_| Instant::now());
-                    self.stats.assess_requests += 1;
-                    let out = if self.incremental {
-                        self.kary_cache
-                            .refresh(&self.kary, &self.stream, &self.anchors, confidence)
-                    } else {
-                        self.kary.evaluate_workers_streaming(
-                            &self.stream,
-                            &self.anchors,
-                            confidence,
-                        )
-                    }
-                    .map_err(ServiceError::Estimate);
-                    self.observe_stage(Stage::DrainEval, t0);
-                    let _ = reply.send(out);
+                ShardMsg::Kary(request) => {
+                    self.assess::<KaryMWorkerEstimator>(guard, request);
                 }
                 ShardMsg::Stats { reply } => {
                     let _ = reply.send(self.snapshot_stats());
@@ -527,6 +547,16 @@ impl ShardWorker {
         // (graceful shutdown). Everything enqueued before the drop
         // has been processed above.
         self.snapshot_stats()
+    }
+
+    /// Answers one assessment request on estimator `A`'s lane, timed
+    /// as a drain-eval stage.
+    fn assess<A: Routed>(&mut self, guard: &mut RecoveryGuard, request: Assess<A::Row>) {
+        self.fire_assess_crash(guard);
+        let t0 = self.obs.as_ref().map(|_| Instant::now());
+        self.stats.assess_requests += 1;
+        A::lane(&mut self.lanes).answer(request, &self.stream, &self.anchors, self.incremental);
+        self.observe_stage(Stage::DrainEval, t0);
     }
 
     /// Closes one timed stage: records the elapsed time into the
@@ -575,8 +605,7 @@ impl ShardWorker {
                 .record(EventKind::GramRebuild, shard, delta, 0, "");
             obs.prev_rebuilds = rebuilds;
         }
-        let refreshes =
-            self.binary_cache.stats().full_refreshes + self.kary_cache.stats().full_refreshes;
+        let refreshes = self.lanes.cache_stats().full_refreshes;
         if refreshes > obs.prev_full_refreshes {
             let delta = refreshes - obs.prev_full_refreshes;
             obs.journal
@@ -591,15 +620,15 @@ impl ShardWorker {
         s.gram_patches = self.stream.gram_patch_count();
         s.gram_rebuilds = self.stream.gram_rebuild_count();
         s.queue_high_water = self.depth.high_water();
-        let (b, k) = (self.binary_cache.stats(), self.kary_cache.stats());
-        s.cache_hits = b.hits + k.hits;
-        s.cache_misses = b.misses + k.misses;
-        s.cache_full_refreshes = b.full_refreshes + k.full_refreshes;
+        let cache = self.lanes.cache_stats();
+        s.cache_hits = cache.hits;
+        s.cache_misses = cache.misses;
+        s.cache_full_refreshes = cache.full_refreshes;
         s
     }
 }
 
-/// Accounting for one [`AssessmentService::ingest_batch`] call.
+/// Accounting for one [`ServiceHandle::ingest_batch`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestReceipt {
     /// Per-shard response deliveries enqueued (a response subscribed
@@ -627,23 +656,14 @@ pub struct ShardOutage {
 /// A fleet snapshot that tolerates unavailable shards: the merged
 /// report over every shard that answered, plus a typed outage per
 /// shard that did not. `outages` empty ⇔ the report is the same one
-/// [`ServiceHandle::snapshot`] would have returned.
+/// the strict snapshot would have returned. `DegradedSnapshot` alone
+/// is the binary snapshot; the k-ary one is
+/// `DegradedSnapshot<KaryWorkerReport>`.
 #[derive(Debug, Clone)]
-pub struct DegradedSnapshot {
+pub struct DegradedSnapshot<R = WorkerReport> {
     /// Merged assessments from the responsive shards, canonical
     /// worker order.
-    pub report: WorkerReport,
-    /// The shards missing from `report`, in shard order.
-    pub outages: Vec<ShardOutage>,
-}
-
-/// The k-ary twin of [`DegradedSnapshot`]; see
-/// [`ServiceHandle::snapshot_kary_degraded`].
-#[derive(Debug, Clone)]
-pub struct DegradedKarySnapshot {
-    /// Merged assessments from the responsive shards, canonical
-    /// worker order.
-    pub report: KaryWorkerReport,
+    pub report: R,
     /// The shards missing from `report`, in shard order.
     pub outages: Vec<ShardOutage>,
 }
@@ -736,10 +756,10 @@ impl std::fmt::Debug for ShardMsg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
             Self::Ingest(b) => return write!(f, "Ingest({} responses)", b.len()),
-            Self::AssessWorker { .. } => "AssessWorker",
-            Self::AssessWorkerKary { .. } => "AssessWorkerKary",
-            Self::AssessAnchors { .. } => "AssessAnchors",
-            Self::AssessAnchorsKary { .. } => "AssessAnchorsKary",
+            Self::Binary(Assess::Worker { .. }) => "AssessWorker",
+            Self::Kary(Assess::Worker { .. }) => "AssessWorkerKary",
+            Self::Binary(Assess::Anchors { .. }) => "AssessAnchors",
+            Self::Kary(Assess::Anchors { .. }) => "AssessAnchorsKary",
             Self::Stats { .. } => "Stats",
             Self::Drain { .. } => "Drain",
             #[cfg(test)]
@@ -924,17 +944,7 @@ impl ServiceHandle {
         worker: WorkerId,
         confidence: f64,
     ) -> Result<WorkerAssessment, ServiceError> {
-        let shard = self.home_shard_of(worker)?;
-        let (reply, rx) = channel();
-        self.send_to(
-            shard,
-            ShardMsg::AssessWorker {
-                worker,
-                confidence,
-                reply,
-            },
-        )?;
-        rx.recv().map_err(|_| self.shard_down(shard))?
+        self.assess_worker_as::<MWorkerEstimator>(worker, confidence)
     }
 
     /// Evaluates one worker's k×k response-probability matrix on its
@@ -944,15 +954,23 @@ impl ServiceHandle {
         worker: WorkerId,
         confidence: f64,
     ) -> Result<KaryWorkerAssessment, ServiceError> {
+        self.assess_worker_as::<KaryMWorkerEstimator>(worker, confidence)
+    }
+
+    fn assess_worker_as<A: Routed>(
+        &self,
+        worker: WorkerId,
+        confidence: f64,
+    ) -> Result<A::Row, ServiceError> {
         let shard = self.home_shard_of(worker)?;
         let (reply, rx) = channel();
         self.send_to(
             shard,
-            ShardMsg::AssessWorkerKary {
+            A::message(Assess::Worker {
                 worker,
                 confidence,
                 reply,
-            },
+            }),
         )?;
         rx.recv().map_err(|_| self.shard_down(shard))?
     }
@@ -976,11 +994,11 @@ impl ServiceHandle {
             let (reply, rx) = channel();
             self.send_to(
                 shard,
-                ShardMsg::AssessWorker {
+                ShardMsg::Binary(Assess::Worker {
                     worker,
                     confidence,
                     reply,
-                },
+                }),
             )?;
             rxs.push((worker, shard, rx));
         }
@@ -1005,16 +1023,20 @@ impl ServiceHandle {
     /// same responses. Requests are enqueued on all shards before any
     /// reply is awaited, so shards evaluate concurrently.
     pub fn snapshot(&self, confidence: f64) -> Result<WorkerReport, ServiceError> {
-        let m = self.shared.plan.n_workers();
-        if m < 3 {
-            return Err(ServiceError::Estimate(
-                crowd_core::EstimateError::NotEnoughWorkers { got: m, need: 3 },
-            ));
-        }
+        self.snapshot_as::<MWorkerEstimator>(confidence)
+    }
+
+    /// Fleet snapshot (k-ary); see [`ServiceHandle::snapshot`].
+    pub fn snapshot_kary(&self, confidence: f64) -> Result<KaryWorkerReport, ServiceError> {
+        self.snapshot_as::<KaryMWorkerEstimator>(confidence)
+    }
+
+    fn snapshot_as<A: Routed>(&self, confidence: f64) -> Result<Report<A::Row>, ServiceError> {
+        self.fleet_guard()?;
         let mut rxs = Vec::with_capacity(self.n_shards());
         for s in 0..self.n_shards() {
             let (reply, rx) = channel();
-            self.send_to(s, ShardMsg::AssessAnchors { confidence, reply })?;
+            self.send_to(s, A::message(Assess::Anchors { confidence, reply }))?;
             rxs.push(rx);
         }
         let mut parts = Vec::with_capacity(rxs.len());
@@ -1022,27 +1044,6 @@ impl ServiceHandle {
             parts.push(rx.recv().map_err(|_| self.shard_down(s))??);
         }
         Ok(merge_reports(parts))
-    }
-
-    /// Fleet snapshot (k-ary); see [`ServiceHandle::snapshot`].
-    pub fn snapshot_kary(&self, confidence: f64) -> Result<KaryWorkerReport, ServiceError> {
-        let m = self.shared.plan.n_workers();
-        if m < 3 {
-            return Err(ServiceError::Estimate(
-                crowd_core::EstimateError::NotEnoughWorkers { got: m, need: 3 },
-            ));
-        }
-        let mut rxs = Vec::with_capacity(self.n_shards());
-        for s in 0..self.n_shards() {
-            let (reply, rx) = channel();
-            self.send_to(s, ShardMsg::AssessAnchorsKary { confidence, reply })?;
-            rxs.push(rx);
-        }
-        let mut parts = Vec::with_capacity(rxs.len());
-        for (s, rx) in rxs.into_iter().enumerate() {
-            parts.push(rx.recv().map_err(|_| self.shard_down(s))??);
-        }
-        Ok(merge_kary_reports(parts))
     }
 
     /// [`ServiceHandle::snapshot`] with graceful degradation: shards
@@ -1057,16 +1058,26 @@ impl ServiceHandle {
     /// can never be assessed, and [`ServiceError::ShuttingDown`]
     /// means there is no fleet left to degrade.
     pub fn snapshot_degraded(&self, confidence: f64) -> Result<DegradedSnapshot, ServiceError> {
-        let m = self.shared.plan.n_workers();
-        if m < 3 {
-            return Err(ServiceError::Estimate(
-                crowd_core::EstimateError::NotEnoughWorkers { got: m, need: 3 },
-            ));
-        }
+        self.snapshot_degraded_as::<MWorkerEstimator>(confidence)
+    }
+
+    /// [`ServiceHandle::snapshot_degraded`] for the k-ary estimator.
+    pub fn snapshot_kary_degraded(
+        &self,
+        confidence: f64,
+    ) -> Result<DegradedSnapshot<KaryWorkerReport>, ServiceError> {
+        self.snapshot_degraded_as::<KaryMWorkerEstimator>(confidence)
+    }
+
+    fn snapshot_degraded_as<A: Routed>(
+        &self,
+        confidence: f64,
+    ) -> Result<DegradedSnapshot<Report<A::Row>>, ServiceError> {
+        self.fleet_guard()?;
         let mut rxs = Vec::with_capacity(self.n_shards());
         for s in 0..self.n_shards() {
             let (reply, rx) = channel();
-            match self.send_to(s, ShardMsg::AssessAnchors { confidence, reply }) {
+            match self.send_to(s, A::message(Assess::Anchors { confidence, reply })) {
                 Ok(()) => rxs.push((s, Ok(rx))),
                 Err(ServiceError::ShuttingDown) => return Err(ServiceError::ShuttingDown),
                 Err(e) => rxs.push((s, Err(e))),
@@ -1090,42 +1101,16 @@ impl ServiceHandle {
         })
     }
 
-    /// The k-ary twin of [`ServiceHandle::snapshot_degraded`].
-    pub fn snapshot_kary_degraded(
-        &self,
-        confidence: f64,
-    ) -> Result<DegradedKarySnapshot, ServiceError> {
+    /// The fleet-wide population guard of the snapshots: fewer than 3
+    /// workers can never be assessed.
+    fn fleet_guard(&self) -> Result<(), ServiceError> {
         let m = self.shared.plan.n_workers();
         if m < 3 {
             return Err(ServiceError::Estimate(
                 crowd_core::EstimateError::NotEnoughWorkers { got: m, need: 3 },
             ));
         }
-        let mut rxs = Vec::with_capacity(self.n_shards());
-        for s in 0..self.n_shards() {
-            let (reply, rx) = channel();
-            match self.send_to(s, ShardMsg::AssessAnchorsKary { confidence, reply }) {
-                Ok(()) => rxs.push((s, Ok(rx))),
-                Err(ServiceError::ShuttingDown) => return Err(ServiceError::ShuttingDown),
-                Err(e) => rxs.push((s, Err(e))),
-            }
-        }
-        let mut parts = Vec::new();
-        let mut outages = Vec::new();
-        for (s, rx) in rxs {
-            let outcome = match rx {
-                Ok(rx) => rx.recv().map_err(|_| self.shard_down(s)).and_then(|r| r),
-                Err(e) => Err(e),
-            };
-            match outcome {
-                Ok(part) => parts.push(part),
-                Err(error) => outages.push(ShardOutage { shard: s, error }),
-            }
-        }
-        Ok(DegradedKarySnapshot {
-            report: merge_kary_reports(parts),
-            outages,
-        })
+        Ok(())
     }
 
     /// FIFO barrier: returns once every shard has processed
@@ -1446,95 +1431,14 @@ impl AssessmentService {
     pub fn handle(&self) -> ServiceHandle {
         self.handle.clone()
     }
+}
 
-    /// The plan the service routes by.
-    pub fn plan(&self) -> &ShardPlan {
-        self.handle.plan()
-    }
+/// Every [`ServiceHandle`] method is available on the owner.
+impl std::ops::Deref for AssessmentService {
+    type Target = ServiceHandle;
 
-    /// Number of shard threads.
-    pub fn n_shards(&self) -> usize {
-        self.handle.n_shards()
-    }
-
-    /// See [`ServiceHandle::ingest_batch`].
-    pub fn ingest_batch(&mut self, batch: &[Response]) -> Result<IngestReceipt, ServiceError> {
-        self.handle.ingest_batch(batch)
-    }
-
-    /// See [`ServiceHandle::ingest`].
-    pub fn ingest(&mut self, response: Response) -> Result<IngestReceipt, ServiceError> {
-        self.handle.ingest(response)
-    }
-
-    /// See [`ServiceHandle::assess_worker`].
-    pub fn assess_worker(
-        &self,
-        worker: WorkerId,
-        confidence: f64,
-    ) -> Result<WorkerAssessment, ServiceError> {
-        self.handle.assess_worker(worker, confidence)
-    }
-
-    /// See [`ServiceHandle::assess_worker_kary`].
-    pub fn assess_worker_kary(
-        &self,
-        worker: WorkerId,
-        confidence: f64,
-    ) -> Result<KaryWorkerAssessment, ServiceError> {
-        self.handle.assess_worker_kary(worker, confidence)
-    }
-
-    /// See [`ServiceHandle::assess_workers`].
-    pub fn assess_workers(
-        &self,
-        workers: &[WorkerId],
-        confidence: f64,
-    ) -> Result<WorkerReport, ServiceError> {
-        self.handle.assess_workers(workers, confidence)
-    }
-
-    /// See [`ServiceHandle::snapshot`].
-    pub fn snapshot(&self, confidence: f64) -> Result<WorkerReport, ServiceError> {
-        self.handle.snapshot(confidence)
-    }
-
-    /// See [`ServiceHandle::snapshot_kary`].
-    pub fn snapshot_kary(&self, confidence: f64) -> Result<KaryWorkerReport, ServiceError> {
-        self.handle.snapshot_kary(confidence)
-    }
-
-    /// See [`ServiceHandle::snapshot_degraded`].
-    pub fn snapshot_degraded(&self, confidence: f64) -> Result<DegradedSnapshot, ServiceError> {
-        self.handle.snapshot_degraded(confidence)
-    }
-
-    /// See [`ServiceHandle::snapshot_kary_degraded`].
-    pub fn snapshot_kary_degraded(
-        &self,
-        confidence: f64,
-    ) -> Result<DegradedKarySnapshot, ServiceError> {
-        self.handle.snapshot_kary_degraded(confidence)
-    }
-
-    /// See [`ServiceHandle::drain`].
-    pub fn drain(&self) -> Result<(), ServiceError> {
-        self.handle.drain()
-    }
-
-    /// See [`ServiceHandle::stats`].
-    pub fn stats(&self) -> Result<ServiceStats, ServiceError> {
-        self.handle.stats()
-    }
-
-    /// See [`ServiceHandle::metrics`].
-    pub fn metrics(&self) -> Result<ServiceMetrics, ServiceError> {
-        self.handle.metrics()
-    }
-
-    /// See [`ServiceHandle::shutdown`].
-    pub fn shutdown(&mut self) -> Result<ServiceStats, ServiceError> {
-        self.handle.shutdown()
+    fn deref(&self) -> &ServiceHandle {
+        &self.handle
     }
 }
 
@@ -1603,7 +1507,7 @@ mod tests {
     #[test]
     fn shed_policy_drops_with_accounting() {
         let (data, plan) = small_fleet();
-        let mut svc = AssessmentService::spawn(
+        let svc = AssessmentService::spawn(
             plan,
             data.n_tasks(),
             data.arity(),
@@ -1641,7 +1545,7 @@ mod tests {
     #[test]
     fn reject_policy_fails_with_queue_full() {
         let (data, plan) = small_fleet();
-        let mut svc = AssessmentService::spawn(
+        let svc = AssessmentService::spawn(
             plan,
             data.n_tasks(),
             data.arity(),
@@ -1675,7 +1579,7 @@ mod tests {
     #[test]
     fn block_policy_waits_out_a_full_queue() {
         let (data, plan) = small_fleet();
-        let mut svc = AssessmentService::spawn(
+        let svc = AssessmentService::spawn(
             plan,
             data.n_tasks(),
             data.arity(),
@@ -1706,7 +1610,7 @@ mod tests {
     #[test]
     fn shutdown_is_graceful_and_idempotent() {
         let (data, plan) = small_fleet();
-        let mut svc =
+        let svc =
             AssessmentService::spawn(plan, data.n_tasks(), data.arity(), ServiceConfig::default());
         let all: Vec<Response> = data.iter().collect();
         let mut routed = 0;
@@ -1744,7 +1648,7 @@ mod tests {
     #[test]
     fn shard_panic_is_reported_not_swallowed() {
         let (data, plan) = small_fleet();
-        let mut svc = AssessmentService::spawn(
+        let svc = AssessmentService::spawn(
             plan,
             data.n_tasks(),
             data.arity(),
@@ -1776,7 +1680,7 @@ mod tests {
     #[test]
     fn injected_panic_recovers_by_default() {
         let (data, plan) = small_fleet();
-        let mut svc = AssessmentService::spawn(
+        let svc = AssessmentService::spawn(
             plan,
             data.n_tasks(),
             data.arity(),
@@ -1814,7 +1718,7 @@ mod tests {
     #[test]
     fn exhausted_recoveries_fail_ingest_promptly() {
         let (data, plan) = small_fleet();
-        let mut svc = AssessmentService::spawn(
+        let svc = AssessmentService::spawn(
             plan,
             data.n_tasks(),
             data.arity(),
@@ -1872,7 +1776,7 @@ mod tests {
     #[test]
     fn degraded_snapshot_without_outages_matches_snapshot() {
         let (data, plan) = small_fleet();
-        let mut svc =
+        let svc =
             AssessmentService::spawn(plan, data.n_tasks(), data.arity(), ServiceConfig::default());
         let all: Vec<Response> = data.iter().collect();
         for chunk in all.chunks(16) {
@@ -1936,7 +1840,7 @@ mod tests {
     #[test]
     fn mixed_batch_with_bad_id_is_rejected_atomically() {
         let (data, plan) = small_fleet();
-        let mut svc =
+        let svc =
             AssessmentService::spawn(plan, data.n_tasks(), data.arity(), ServiceConfig::default());
         let mut batch: Vec<Response> = data.iter().take(5).collect();
         batch.push(Response {

@@ -2,7 +2,7 @@
 //! substrate's maintenance diagnostics, aggregated fleet-wide.
 
 /// Counters one shard thread maintains and reports (via
-/// [`crate::AssessmentService::stats`], and finally when it exits).
+/// [`crate::ServiceHandle::stats`], and finally when it exits).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Shard id (position in the plan).
@@ -100,7 +100,7 @@ impl BatchHistogram {
 }
 
 /// A fleet-wide stats snapshot; see
-/// [`crate::AssessmentService::stats`].
+/// [`crate::ServiceHandle::stats`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceStats {
     /// Per-shard counters, in shard order.

@@ -81,7 +81,7 @@ fn cached_service_is_bit_identical_to_uncached_binary() {
     let inst = BinaryScenario::paper_default(12, 60, 0.85).generate(&mut rng(821));
     let data = inst.responses();
     for &n_shards in &[1usize, 2, 8] {
-        let (mut cached, mut full) = spawn_pair(data, n_shards);
+        let (cached, full) = spawn_pair(data, n_shards);
         let mut dice = rng(900 + n_shards as u64);
         let sched = ArrivalSchedule::poisson(data, 1000.0, &mut rng(77));
         let batches: Vec<&[Response]> = sched.batches(16).collect();
@@ -172,7 +172,7 @@ fn cached_service_is_bit_identical_to_uncached_kary() {
         .generate(&mut rng(823));
     let data = inst.responses();
     for &n_shards in &[1usize, 2, 8] {
-        let (mut cached, mut full) = spawn_pair(data, n_shards);
+        let (cached, full) = spawn_pair(data, n_shards);
         let mut dice = rng(1100 + n_shards as u64);
         let sched = ArrivalSchedule::poisson(data, 1000.0, &mut rng(78));
         let batches: Vec<&[Response]> = sched.batches(16).collect();
@@ -240,7 +240,7 @@ fn explicit_worker_sets_share_cache_rows_with_snapshots() {
     // then all hits while agreeing with the uncached twin bit for bit.
     let inst = BinaryScenario::paper_default(10, 50, 0.9).generate(&mut rng(829));
     let data = inst.responses();
-    let (mut cached, mut full) = spawn_pair(data, 2);
+    let (cached, full) = spawn_pair(data, 2);
     let all: Vec<Response> = data.iter().collect();
     for chunk in all.chunks(32) {
         cached.ingest_batch(chunk).unwrap();

@@ -78,7 +78,7 @@ fn instrumented_service_is_bit_identical_binary() {
     let inst = BinaryScenario::paper_default(12, 60, 0.85).generate(&mut rng(3121));
     let data = inst.responses();
     for &n_shards in &[1usize, 2, 8] {
-        let (mut on, mut off) = spawn_pair(data, n_shards);
+        let (on, off) = spawn_pair(data, n_shards);
         let mut dice = rng(4400 + n_shards as u64);
         let sched = ArrivalSchedule::poisson(data, 1000.0, &mut rng(91));
         let batches: Vec<&[Response]> = sched.batches(16).collect();
@@ -157,7 +157,7 @@ fn instrumented_service_is_bit_identical_kary() {
         .generate(&mut rng(555));
     let data = inst.responses();
     for &n_shards in &[1usize, 4] {
-        let (mut on, mut off) = spawn_pair(data, n_shards);
+        let (on, off) = spawn_pair(data, n_shards);
         let mut dice = rng(7100 + n_shards as u64);
         let all: Vec<Response> = data.iter().collect();
         for (i, group) in all.chunks(24).enumerate() {
@@ -187,7 +187,7 @@ fn slow_op_threshold_zero_journals_every_stage() {
     // capture path the bench also exercises with injected slow ops.
     let inst = BinaryScenario::paper_default(8, 40, 0.9).generate(&mut rng(17));
     let data = inst.responses();
-    let mut svc = AssessmentService::spawn(
+    let svc = AssessmentService::spawn(
         ShardPlan::build_clustered(data, 2),
         data.n_tasks(),
         data.arity(),

@@ -65,7 +65,7 @@ fn run_binary_differential(
     seed: u64,
 ) -> AssessmentService {
     let plan = ShardPlan::build_clustered(data, n_shards);
-    let mut service =
+    let service =
         AssessmentService::spawn(plan, data.n_tasks(), data.arity(), ServiceConfig::default());
     let mut serial = IncrementalEvaluator::new(
         data.n_workers(),
@@ -152,7 +152,7 @@ fn kary_pipeline_is_bit_identical_to_serial_streaming() {
     let data = inst.responses();
     for &(n_shards, batch) in &[(1usize, 7usize), (2, 1), (2, 256), (8, 7)] {
         let plan = ShardPlan::build_clustered(data, n_shards);
-        let mut service =
+        let service =
             AssessmentService::spawn(plan, data.n_tasks(), data.arity(), ServiceConfig::default());
         let mut serial = KaryIncrementalEvaluator::new(
             data.n_workers(),
@@ -208,7 +208,7 @@ fn ingest_continues_after_drain() {
     let inst = BinaryScenario::paper_default(8, 40, 0.9).generate(&mut rng(507));
     let data = inst.responses();
     let plan = ShardPlan::build_clustered(data, 2);
-    let mut service =
+    let service =
         AssessmentService::spawn(plan, data.n_tasks(), data.arity(), ServiceConfig::default());
     let mut serial = IncrementalEvaluator::new(
         data.n_workers(),
@@ -252,7 +252,7 @@ fn empty_shards_route_and_snapshot_cleanly() {
     let data = inst.responses();
     let plan = ShardPlan::build_clustered(data, 9);
     assert!(plan.shards().iter().any(|s| s.is_empty()));
-    let mut service =
+    let service =
         AssessmentService::spawn(plan, data.n_tasks(), data.arity(), ServiceConfig::default());
     let mut serial = IncrementalEvaluator::new(
         data.n_workers(),
@@ -282,7 +282,7 @@ fn invalid_requests_surface_the_data_taxonomy() {
     let inst = BinaryScenario::paper_default(6, 30, 0.9).generate(&mut rng(511));
     let data = inst.responses();
     let plan = ShardPlan::build_clustered(data, 2);
-    let mut service =
+    let service =
         AssessmentService::spawn(plan, data.n_tasks(), data.arity(), ServiceConfig::default());
     // Out-of-fleet worker: rejected before routing, nothing enqueued.
     let bogus = Response {
@@ -340,7 +340,7 @@ fn runtime_counters_reflect_the_stream() {
     let inst = BinaryScenario::paper_default(10, 50, 0.9).generate(&mut rng(513));
     let data = inst.responses();
     let plan = ShardPlan::build_clustered(data, 2);
-    let mut service =
+    let service =
         AssessmentService::spawn(plan, data.n_tasks(), data.arity(), ServiceConfig::default());
     let all: Vec<Response> = data.iter().collect();
     let cut = all.len() / 2;

@@ -88,13 +88,13 @@ fn run_binary(data: &ResponseMatrix, n_shards: usize, crash: CrashPoint, seed: u
             .with_crash_point(crash),
     );
     let base = ServiceConfig::default().with_checkpoint_interval(3);
-    let mut faulted = AssessmentService::spawn(
+    let faulted = AssessmentService::spawn(
         ShardPlan::build_clustered(data, n_shards),
         data.n_tasks(),
         data.arity(),
         base.clone().with_fault(fault),
     );
-    let mut twin = AssessmentService::spawn(
+    let twin = AssessmentService::spawn(
         ShardPlan::build_clustered(data, n_shards),
         data.n_tasks(),
         data.arity(),
@@ -156,13 +156,13 @@ fn run_kary(data: &ResponseMatrix, n_shards: usize, crash: CrashPoint, seed: u64
             .with_crash_point(crash),
     );
     let base = ServiceConfig::default().with_checkpoint_interval(2);
-    let mut faulted = AssessmentService::spawn(
+    let faulted = AssessmentService::spawn(
         ShardPlan::build_clustered(data, n_shards),
         data.n_tasks(),
         data.arity(),
         base.clone().with_fault(fault),
     );
-    let mut twin = AssessmentService::spawn(
+    let twin = AssessmentService::spawn(
         ShardPlan::build_clustered(data, n_shards),
         data.n_tasks(),
         data.arity(),
@@ -252,13 +252,13 @@ fn repeated_random_crashes_stay_bit_identical() {
     let base = ServiceConfig::default()
         .with_checkpoint_interval(4)
         .with_max_recoveries(64);
-    let mut faulted = AssessmentService::spawn(
+    let faulted = AssessmentService::spawn(
         ShardPlan::build_clustered(&data, 2),
         data.n_tasks(),
         data.arity(),
         base.clone().with_fault(fault),
     );
-    let mut twin = AssessmentService::spawn(
+    let twin = AssessmentService::spawn(
         ShardPlan::build_clustered(&data, 2),
         data.n_tasks(),
         data.arity(),

@@ -7,13 +7,15 @@
 //! co-occurring pairs among the closure, never `O(m²)`.
 //! [`ShardRunner`] evaluates a shard's anchors through the same
 //! deterministic chunked-parallel machinery as the single-process
-//! `evaluate_all_indexed_parallel`, and [`merge_reports`] /
-//! [`merge_kary_reports`] recombine the per-shard reports into one
-//! fleet report that is **bit-identical** to the unsharded run.
+//! `evaluate_all_indexed_parallel`, and [`merge_reports`] recombines
+//! the per-shard reports into one fleet report that is
+//! **bit-identical** to the unsharded run. Both are generic over the
+//! estimator ([`Assessment`]): binary and k-ary shards run the same
+//! code.
 
 use crowd_core::{
-    EstimateError, EstimatorConfig, KaryMWorkerEstimator, KaryWorkerReport, MWorkerEstimator,
-    WorkerReport,
+    Assessment, AssessmentRow, EstimateError, EstimatorConfig, KaryMWorkerEstimator,
+    KaryWorkerReport, MWorkerEstimator, Report, WorkerReport,
 };
 use crowd_data::{OverlapIndex, ResponseMatrix, WorkerId};
 
@@ -73,8 +75,7 @@ impl ShardIndex {
 /// for the pipeline shape and the bit-identity argument.
 #[derive(Debug, Clone, Default)]
 pub struct ShardRunner {
-    binary: MWorkerEstimator,
-    kary: KaryMWorkerEstimator,
+    config: EstimatorConfig,
     threads: usize,
 }
 
@@ -82,11 +83,7 @@ impl ShardRunner {
     /// A runner evaluating with the given estimator configuration,
     /// serial within each shard.
     pub fn new(config: EstimatorConfig) -> Self {
-        Self {
-            binary: MWorkerEstimator::new(config.clone()),
-            kary: KaryMWorkerEstimator::new(config),
-            threads: 1,
-        }
+        Self { config, threads: 1 }
     }
 
     /// Evaluate each shard's anchors across `threads` scoped threads
@@ -97,87 +94,84 @@ impl ShardRunner {
         self
     }
 
-    /// Evaluates one shard's anchors (binary, Algorithm A2) against
-    /// its scoped index. Rows are bit-identical to the corresponding
-    /// rows of an unsharded `evaluate_all_indexed_parallel`.
+    /// Evaluates one shard's anchors with estimator `A` against its
+    /// scoped index. Rows are bit-identical to the corresponding rows
+    /// of an unsharded `evaluate_all_indexed_parallel`.
+    pub fn evaluate_shard_as<A: Assessment>(
+        &self,
+        shard: &ShardIndex,
+        confidence: f64,
+    ) -> Result<Report<A::Row>, EstimateError> {
+        let anchors: Vec<WorkerId> = shard.anchor_ids().collect();
+        A::from_config(self.config.clone()).evaluate_workers_indexed_parallel(
+            shard.index(),
+            &anchors,
+            confidence,
+            self.threads,
+        )
+    }
+
+    /// The whole pipeline in one call with estimator `A` — build every
+    /// shard index, evaluate its anchors, merge: the single-machine
+    /// driver and the reference the differential tests pin against
+    /// `evaluate_all_indexed_parallel`. Shards are built and dropped
+    /// one at a time, so peak pair-state memory is one shard's, not
+    /// the fleet's.
+    pub fn run_as<A: Assessment>(
+        &self,
+        data: &ResponseMatrix,
+        plan: &ShardPlan,
+        confidence: f64,
+    ) -> Result<Report<A::Row>, EstimateError> {
+        let mut parts = Vec::with_capacity(plan.n_shards());
+        for spec in plan.shards() {
+            let shard = ShardIndex::build(data, spec);
+            parts.push(self.evaluate_shard_as::<A>(&shard, confidence)?);
+        }
+        Ok(merge_reports(parts))
+    }
+
+    /// [`ShardRunner::evaluate_shard_as`] for binary data (Algorithm A2).
     pub fn evaluate_shard(
         &self,
         shard: &ShardIndex,
         confidence: f64,
     ) -> Result<WorkerReport, EstimateError> {
-        let anchors: Vec<WorkerId> = shard.anchor_ids().collect();
-        self.binary.evaluate_workers_indexed_parallel(
-            shard.index(),
-            &anchors,
-            confidence,
-            self.threads,
-        )
+        self.evaluate_shard_as::<MWorkerEstimator>(shard, confidence)
     }
 
-    /// Evaluates one shard's anchors (k-ary, the m-worker A3
-    /// extension).
-    pub fn evaluate_shard_kary(
-        &self,
-        shard: &ShardIndex,
-        confidence: f64,
-    ) -> Result<KaryWorkerReport, EstimateError> {
-        let anchors: Vec<WorkerId> = shard.anchor_ids().collect();
-        self.kary.evaluate_workers_indexed_parallel(
-            shard.index(),
-            &anchors,
-            confidence,
-            self.threads,
-        )
-    }
-
-    /// The whole pipeline in one call — build every shard index,
-    /// evaluate its anchors, merge: the single-machine driver and the
-    /// reference the differential tests pin against
-    /// `evaluate_all_indexed_parallel`. Shards are built and dropped
-    /// one at a time, so peak pair-state memory is one shard's, not
-    /// the fleet's.
+    /// [`ShardRunner::run_as`] for binary data (Algorithm A2).
     pub fn run(
         &self,
         data: &ResponseMatrix,
         plan: &ShardPlan,
         confidence: f64,
     ) -> Result<WorkerReport, EstimateError> {
-        let mut parts = Vec::with_capacity(plan.n_shards());
-        for spec in plan.shards() {
-            let shard = ShardIndex::build(data, spec);
-            parts.push(self.evaluate_shard(&shard, confidence)?);
-        }
-        Ok(merge_reports(parts))
+        self.run_as::<MWorkerEstimator>(data, plan, confidence)
     }
 
-    /// [`ShardRunner::run`] for k-ary data.
+    /// [`ShardRunner::run_as`] for k-ary data (the m-worker A3
+    /// extension).
     pub fn run_kary(
         &self,
         data: &ResponseMatrix,
         plan: &ShardPlan,
         confidence: f64,
     ) -> Result<KaryWorkerReport, EstimateError> {
-        let mut parts = Vec::with_capacity(plan.n_shards());
-        for spec in plan.shards() {
-            let shard = ShardIndex::build(data, spec);
-            parts.push(self.evaluate_shard_kary(&shard, confidence)?);
-        }
-        Ok(merge_kary_reports(parts))
+        self.run_as::<KaryMWorkerEstimator>(data, plan, confidence)
     }
 }
 
-/// Recombines per-shard binary reports into one fleet report in
-/// canonical worker order; rows are kept verbatim, so the merged
-/// report is bit-identical to a single-process run (see
-/// [`crowd_core::WorkerReport::merge`]). Shard order is irrelevant.
-pub fn merge_reports(parts: impl IntoIterator<Item = WorkerReport>) -> WorkerReport {
-    WorkerReport::merge(parts)
+/// Recombines per-shard reports of either estimator into one fleet
+/// report in canonical worker order; rows are kept verbatim, so the
+/// merged report is bit-identical to a single-process run (see
+/// [`Report::merge`]). Shard order is irrelevant.
+pub fn merge_reports<R: AssessmentRow>(parts: impl IntoIterator<Item = Report<R>>) -> Report<R> {
+    Report::merge(parts)
 }
 
-/// [`merge_reports`] for k-ary reports.
-pub fn merge_kary_reports(parts: impl IntoIterator<Item = KaryWorkerReport>) -> KaryWorkerReport {
-    KaryWorkerReport::merge(parts)
-}
+/// The k-ary name of [`merge_reports`].
+pub use merge_reports as merge_kary_reports;
 
 #[cfg(test)]
 mod tests {

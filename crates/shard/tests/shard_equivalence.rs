@@ -7,7 +7,8 @@
 
 use crowd_core::pairing::reachable_peers;
 use crowd_core::{
-    EstimatorConfig, KaryMWorkerEstimator, KaryWorkerReport, MWorkerEstimator, WorkerReport,
+    Assessment, EstimatorConfig, KaryMWorkerEstimator, KaryWorkerReport, MWorkerEstimator,
+    WorkerReport,
 };
 use crowd_data::{
     Label, OverlapIndex, PairBackend, ResponseMatrix, ResponseMatrixBuilder, TaskId, WorkerId,

@@ -839,6 +839,11 @@ fn put_estimate_error(p: &mut Vec<u8>, e: &EstimateError) {
             p.push(6);
             put_stats_error(p, s);
         }
+        EstimateError::UnknownWorker { worker, n_workers } => {
+            p.push(7);
+            put_u32(p, worker.0);
+            put_usize(p, *n_workers);
+        }
     }
 }
 
@@ -863,6 +868,10 @@ fn get_estimate_error(c: &mut Cursor<'_>) -> Result<EstimateError, WireError> {
         4 => EstimateError::RequiresRegularData,
         5 => EstimateError::Numerical(c.string("numerical message")?),
         6 => EstimateError::Stats(get_stats_error(c)?),
+        7 => EstimateError::UnknownWorker {
+            worker: WorkerId(c.u32("unknown worker")?),
+            n_workers: c.usize("unknown worker population")?,
+        },
         _ => {
             return Err(WireError::Malformed {
                 what: "estimate error tag",

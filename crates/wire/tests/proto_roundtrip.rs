@@ -67,7 +67,7 @@ fn arb_stats_error() -> impl Strategy<Value = StatsError> {
 
 fn arb_estimate_error() -> impl Strategy<Value = EstimateError> {
     (
-        0..7usize,
+        0..8usize,
         (0..500u32, 0..500u32, 0..50usize, 0..50usize),
         arb_string(),
         arb_stats_error(),
@@ -86,6 +86,10 @@ fn arb_estimate_error() -> impl Strategy<Value = EstimateError> {
             3 => EstimateError::Degenerate { what: s },
             4 => EstimateError::RequiresRegularData,
             5 => EstimateError::Numerical(s),
+            6 => EstimateError::UnknownWorker {
+                worker: WorkerId(w1),
+                n_workers: got,
+            },
             _ => EstimateError::Stats(st),
         })
 }

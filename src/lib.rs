@@ -8,7 +8,7 @@
 //!
 //! This umbrella crate re-exports the workspace's public API:
 //!
-//! * [`linalg`] — dense matrix substrate (LU, Cholesky, Jacobi/QR
+//! * [`linalg`] — dense matrix substrate (LU, Jacobi symmetric
 //!   eigendecomposition),
 //! * [`stats`] — normal distribution, delta method (the paper's
 //!   Theorem 1), minimum-variance weights (Lemma 5),
@@ -67,9 +67,9 @@ pub use crowd_wire as wire;
 /// results.
 pub mod prelude {
     pub use crowd_core::{
-        AnswerAggregator, EstimateError, EstimatorConfig, IncrementalEvaluator, KaryEstimator,
-        KaryIncrementalEvaluator, MWorkerEstimator, RetentionPolicy, ThreeWorkerEstimator,
-        WeightingRule, WorkerReport,
+        AnswerAggregator, Assessment, EstimateError, EstimatorConfig, IncrementalEvaluator,
+        KaryEstimator, KaryIncrementalEvaluator, MWorkerEstimator, RetentionPolicy,
+        ThreeWorkerEstimator, WeightingRule, WorkerReport,
     };
     pub use crowd_data::{
         GoldStandard, Label, ResponseMatrix, ResponseMatrixBuilder, TaskId, WorkerId,
