@@ -13,10 +13,10 @@
 //! against a batch [`OverlapIndex`] with reusable per-thread scratch,
 //! and against a maintained [`StreamingIndex`].
 //!
-//! Every driver reaches an anchor through one per-anchor step, the one
-//! place a worker id is checked against the substrate's population: an
-//! out-of-range id becomes an [`EstimateError::UnknownWorker`] row, not
-//! an index panic.
+//! Each estimator's per-anchor body, behind every entry point, checks
+//! the worker id against the substrate's population: an out-of-range
+//! id becomes an [`EstimateError::UnknownWorker`] row, not an index
+//! panic.
 
 use crate::evaluation::{AssessmentRow, Report};
 use crate::parallel::parallel_index_map_with;
@@ -37,8 +37,8 @@ pub trait Assessment: Clone + std::fmt::Debug + Sync {
     /// An estimator with the given configuration.
     fn from_config(config: EstimatorConfig) -> Self;
 
-    /// Evaluates one in-range anchor against a batch index, reusing
-    /// `scratch` across calls.
+    /// Evaluates one anchor against a batch index, reusing `scratch`
+    /// across calls.
     fn assess_indexed(
         &self,
         index: &OverlapIndex,
@@ -47,8 +47,7 @@ pub trait Assessment: Clone + std::fmt::Debug + Sync {
         scratch: &mut Self::Scratch,
     ) -> Result<Self::Row>;
 
-    /// Evaluates one in-range anchor against a maintained streaming
-    /// substrate.
+    /// Evaluates one anchor against a maintained streaming substrate.
     fn assess_streaming(
         &self,
         stream: &StreamingIndex,
@@ -113,17 +112,12 @@ pub trait Assessment: Clone + std::fmt::Debug + Sync {
         confidence: f64,
         threads: usize,
     ) -> Result<Report<Self::Row>> {
-        let m = index.n_workers();
-        population(m)?;
+        population(index.n_workers())?;
         let outcomes = parallel_index_map_with(
             workers.len(),
             threads.max(1),
             Self::Scratch::default,
-            |scratch, i| {
-                anchor_outcome(m, workers[i], || {
-                    self.assess_indexed(index, workers[i], confidence, scratch)
-                })
-            },
+            |scratch, i| self.assess_indexed(index, workers[i], confidence, scratch),
         );
         Ok(Report::collect(workers.iter().copied().zip(outcomes)))
     }
@@ -139,13 +133,9 @@ pub trait Assessment: Clone + std::fmt::Debug + Sync {
         workers: &[WorkerId],
         confidence: f64,
     ) -> Result<Report<Self::Row>> {
-        let m = OverlapSource::n_workers(stream);
-        population(m)?;
+        population(OverlapSource::n_workers(stream))?;
         Ok(Report::collect(workers.iter().map(|&worker| {
-            let outcome = anchor_outcome(m, worker, || {
-                self.assess_streaming(stream, worker, confidence)
-            });
-            (worker, outcome)
+            (worker, self.assess_streaming(stream, worker, confidence))
         })))
     }
 }
@@ -162,66 +152,108 @@ pub(crate) fn population(n_workers: usize) -> Result<()> {
     Ok(())
 }
 
-/// The per-anchor step of every driver, cache and evaluator: rejects
-/// a worker id outside the substrate's `n_workers` before any of its
-/// rows is touched, then runs `eval`.
-pub(crate) fn anchor_outcome<R>(
-    n_workers: usize,
-    worker: WorkerId,
-    eval: impl FnOnce() -> Result<R>,
-) -> Result<R> {
-    if worker.index() >= n_workers {
-        return Err(EstimateError::UnknownWorker { worker, n_workers });
-    }
-    eval()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Incremental, KaryMWorkerEstimator, MWorkerEstimator, ReportCache};
+    use crowd_data::PairCache;
     use crowd_sim::{BinaryScenario, rng};
 
+    const BAD: WorkerId = WorkerId(99);
+
+    fn unknown(e: &EstimateError) -> bool {
+        matches!(e, EstimateError::UnknownWorker { worker, n_workers: 5 } if *worker == BAD)
+    }
+
+    fn fleet() -> ResponseMatrix {
+        BinaryScenario::paper_default(5, 60, 0.9)
+            .generate(&mut rng(17))
+            .responses()
+            .clone()
+    }
+
     /// An out-of-range worker id is a typed failure on every per-anchor
-    /// path — indexed and streaming drivers, the streaming evaluator
-    /// and the report cache — for both estimators, never an index
-    /// panic; in-range anchors of the same call are still evaluated.
+    /// path — both trait evaluations, the indexed and streaming
+    /// drivers, the streaming evaluator and the report cache — for both
+    /// estimators, never an index panic; in-range anchors of the same
+    /// call are still evaluated, and a repeated cache lookup of the bad
+    /// id fails the same way.
     #[test]
     fn out_of_range_worker_is_a_typed_error_on_every_path() {
         fn check<A: Assessment>() {
-            let inst = BinaryScenario::paper_default(5, 60, 0.9).generate(&mut rng(17));
-            let data = inst.responses();
+            let data = fleet();
             let est = A::from_config(EstimatorConfig::default());
-            let bad = WorkerId(99);
-            let unknown = |e: &EstimateError| matches!(e, EstimateError::UnknownWorker { worker, n_workers: 5 } if *worker == bad);
-            let workers = [WorkerId(1), bad];
+            let workers = [WorkerId(1), BAD];
             let only_bad_fails = |report: Report<A::Row>| {
-                assert_eq!(report.assessments.len() + report.failures.len(), 2);
-                let failure = report.failures.iter().find(|f| f.0 == bad);
-                assert!(unknown(&failure.expect("a row for the bad id").1));
+                assert_eq!(report.assessments.len(), 1);
+                assert_eq!(report.failures.len(), 1);
+                assert_eq!(report.failures[0].0, BAD);
+                assert!(unknown(&report.failures[0].1));
             };
 
-            let index = OverlapIndex::from_matrix(data);
+            let index = OverlapIndex::from_matrix(&data);
+            let mut scratch = A::Scratch::default();
+            assert!(unknown(
+                &est.assess_indexed(&index, BAD, 0.9, &mut scratch)
+                    .unwrap_err()
+            ));
             for threads in [1, 2] {
                 only_bad_fails(
                     est.evaluate_workers_indexed_parallel(&index, &workers, 0.9, threads)
                         .unwrap(),
                 );
             }
-            let stream = StreamingIndex::from_matrix(data);
+            let stream = StreamingIndex::from_matrix(&data);
+            assert!(unknown(
+                &est.assess_streaming(&stream, BAD, 0.9).unwrap_err()
+            ));
             only_bad_fails(
                 est.evaluate_workers_streaming(&stream, &workers, 0.9)
                     .unwrap(),
             );
 
-            let ev = Incremental::<A>::from_matrix(data, EstimatorConfig::default());
-            assert!(unknown(&ev.evaluate_worker(bad, 0.9).unwrap_err()));
+            let ev = Incremental::<A>::from_matrix(&data, EstimatorConfig::default());
+            assert!(unknown(&ev.evaluate_worker(BAD, 0.9).unwrap_err()));
 
             let mut cache = ReportCache::<A>::new();
-            only_bad_fails(cache.refresh(&est, &stream, &workers, 0.9).unwrap());
-            assert!(unknown(&cache.assess(&est, &stream, bad, 0.9).unwrap_err()));
+            for _ in 0..2 {
+                only_bad_fails(cache.refresh(&est, &stream, &workers, 0.9).unwrap());
+                assert!(unknown(&cache.assess(&est, &stream, BAD, 0.9).unwrap_err()));
+            }
         }
         check::<MWorkerEstimator>();
         check::<KaryMWorkerEstimator>();
+    }
+
+    /// The estimators' own single-worker entry points — over the
+    /// matrix, a pair cache, any overlap substrate and a batch index —
+    /// report an out-of-range id the same way.
+    #[test]
+    fn out_of_range_worker_is_a_typed_error_on_estimator_entry_points() {
+        let data = fleet();
+        let index = OverlapIndex::from_matrix(&data);
+        let stream = StreamingIndex::from_matrix(&data);
+
+        let est = MWorkerEstimator::new(EstimatorConfig::default());
+        let pairs = PairCache::from_matrix(&data);
+        assert!(unknown(&est.evaluate_worker(&data, BAD, 0.9).unwrap_err()));
+        for cache in [None, Some(&pairs)] {
+            assert!(unknown(
+                &est.evaluate_worker_cached(&data, cache, BAD, 0.9)
+                    .unwrap_err()
+            ));
+        }
+        assert!(unknown(
+            &est.evaluate_worker_on(&index, BAD, 0.9).unwrap_err()
+        ));
+        assert!(unknown(
+            &est.evaluate_worker_on(&stream, BAD, 0.9).unwrap_err()
+        ));
+
+        let kary = KaryMWorkerEstimator::new(EstimatorConfig::default());
+        assert!(unknown(&kary.evaluate_worker(&data, BAD, 0.9).unwrap_err()));
+        assert!(unknown(
+            &kary.evaluate_worker_indexed(&index, BAD, 0.9).unwrap_err()
+        ));
     }
 }

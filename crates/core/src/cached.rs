@@ -36,7 +36,7 @@
 //! makes its version stamps meaningless. (The shard runtime owns one
 //! cache per shard stream, which is the intended shape.)
 
-use crate::assessment::{anchor_outcome, population};
+use crate::assessment::population;
 use crate::{Assessment, KaryMWorkerEstimator, MWorkerEstimator, Report, Result};
 use crowd_data::{OverlapSource, StreamingIndex, WorkerId};
 
@@ -166,7 +166,9 @@ impl<A: Assessment> ReportCache<A> {
     /// One cache-consulting per-anchor evaluation: serve the row if it
     /// is still exact — present and computed at an epoch not older
     /// than the worker's last dirtying ingest — or evaluate and
-    /// version the result at the stream's current epoch.
+    /// version the result at the stream's current epoch. An id outside
+    /// the stream has no epoch to version by; it goes straight to the
+    /// estimator, which reports it as unknown.
     fn outcome(
         &mut self,
         estimator: &A,
@@ -174,21 +176,22 @@ impl<A: Assessment> ReportCache<A> {
         worker: WorkerId,
         confidence: f64,
     ) -> Result<A::Row> {
-        anchor_outcome(OverlapSource::n_workers(stream), worker, || {
-            if let Some(Some((epoch, outcome))) = self.rows.get(worker.index())
-                && *epoch >= stream.dirty_epoch(worker)
-            {
-                self.stats.hits += 1;
-                return outcome.clone();
-            }
-            self.stats.misses += 1;
-            let outcome = estimator.assess_streaming(stream, worker, confidence);
-            if self.rows.len() <= worker.index() {
-                self.rows.resize(worker.index() + 1, None);
-            }
-            self.rows[worker.index()] = Some((stream.epoch(), outcome.clone()));
-            outcome
-        })
+        if worker.index() >= OverlapSource::n_workers(stream) {
+            return estimator.assess_streaming(stream, worker, confidence);
+        }
+        if let Some(Some((epoch, outcome))) = self.rows.get(worker.index())
+            && *epoch >= stream.dirty_epoch(worker)
+        {
+            self.stats.hits += 1;
+            return outcome.clone();
+        }
+        self.stats.misses += 1;
+        let outcome = estimator.assess_streaming(stream, worker, confidence);
+        if self.rows.len() <= worker.index() {
+            self.rows.resize(worker.index() + 1, None);
+        }
+        self.rows[worker.index()] = Some((stream.epoch(), outcome.clone()));
+        outcome
     }
 }
 
@@ -382,21 +385,50 @@ mod tests {
     }
 
     /// Single-worker assess shares the same row store as refresh: an
-    /// assess after a refresh hits and returns the uncached row.
+    /// assess after a refresh hits and returns the uncached row, and a
+    /// refresh after a dirtying ingest + assess does not re-evaluate
+    /// the already-refreshed row.
     #[test]
     fn assess_and_refresh_share_rows() {
         fn check<A: Assessment>() {
             let inst = BinaryScenario::paper_default(5, 60, 0.9).generate(&mut rng(841));
-            let stream = StreamingIndex::from_matrix(inst.responses());
+            let data = inst.responses();
+            let anchor = WorkerId(2);
+            // Hold one of the anchor's responses back for the dirtying
+            // ingest below.
+            let held = data.iter().find(|r| r.worker == anchor).unwrap();
+            let mut stream =
+                StreamingIndex::new_with(data.n_workers(), data.n_tasks(), 2, PairBackend::Sparse);
+            for r in data.iter().filter(|r| *r != held) {
+                stream.record_response(r).unwrap();
+            }
             let est = estimator::<A>();
             let anchors: Vec<WorkerId> = stream.index().workers().collect();
             let mut cache = ReportCache::new();
             cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
             let misses_before = cache.stats().misses;
-            let a = cache.assess(&est, &stream, WorkerId(2), 0.9);
+            let a = cache.assess(&est, &stream, anchor, 0.9).unwrap();
             assert_eq!(cache.stats().misses, misses_before, "assess must hit");
-            let direct = est.assess_streaming(&stream, WorkerId(2), 0.9);
+            let direct = est.assess_streaming(&stream, anchor, 0.9).unwrap();
             assert_eq!(format!("{a:?}"), format!("{direct:?}"));
+
+            let refreshed_at = stream.epoch();
+            stream.record_response(held).unwrap();
+            assert!(stream.is_dirty_since(anchor, refreshed_at));
+            let a = cache.assess(&est, &stream, anchor, 0.9).unwrap();
+            assert_eq!(cache.stats().misses, misses_before + 1);
+            let direct = est.assess_streaming(&stream, anchor, 0.9).unwrap();
+            assert_eq!(format!("{a:?}"), format!("{direct:?}"));
+            let others_dirty = anchors
+                .iter()
+                .filter(|&&w| w != anchor && stream.is_dirty_since(w, refreshed_at))
+                .count();
+            let report = cache.refresh(&est, &stream, &anchors, 0.9).unwrap();
+            assert_eq!(cache.stats().last_dirty, others_dirty);
+            let full = est
+                .evaluate_workers_streaming(&stream, &anchors, 0.9)
+                .unwrap();
+            assert!(same(&report, &full));
         }
         check::<MWorkerEstimator>();
         check::<KaryMWorkerEstimator>();

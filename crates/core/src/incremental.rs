@@ -43,11 +43,10 @@
 //! differential property tests in `crates/data/tests/proptests.rs`
 //! enforce this.
 
-use crate::assessment::anchor_outcome;
 use crate::cached::{CacheStats, ReportCache};
 use crate::kary::KaryMWorkerEstimator;
 use crate::{Assessment, EstimatorConfig, MWorkerEstimator, Report, Result};
-use crowd_data::{OverlapIndex, OverlapSource, Response, ResponseMatrix, StreamingIndex, WorkerId};
+use crowd_data::{OverlapIndex, Response, ResponseMatrix, StreamingIndex, WorkerId};
 
 /// Streaming evaluator maintaining the indexed substrate response by
 /// response, for either estimator; see the [module docs](self).
@@ -162,10 +161,8 @@ impl<A: Assessment> Incremental<A> {
     /// Evaluates one worker on the data seen so far; bit-identical to
     /// the batch estimator on the accumulated data.
     pub fn evaluate_worker(&self, worker: WorkerId, confidence: f64) -> Result<A::Row> {
-        anchor_outcome(OverlapSource::n_workers(&self.stream), worker, || {
-            self.estimator
-                .assess_streaming(&self.stream, worker, confidence)
-        })
+        self.estimator
+            .assess_streaming(&self.stream, worker, confidence)
     }
 
     /// Evaluates every worker on the data seen so far.

@@ -63,6 +63,7 @@
 //! (singular moment matrix, spectrum ties) no longer fails the
 //! worker, because the surviving triples carry the estimate.
 
+use crate::assessment::population;
 use crate::evaluation::AssessmentRow;
 use crate::kary::estimator::{TripleDetail, triple_detail};
 use crate::pairing::form_pairs_limited;
@@ -287,7 +288,8 @@ impl KaryMWorkerEstimator {
         Assessment::evaluate_workers_streaming(self, stream, workers, confidence)
     }
 
-    /// The evaluation body behind every entry point: pairing, the
+    /// The evaluation body behind every entry point: the population
+    /// and worker-id guards, pairing, the
     /// per-triple A3 pipelines (each counts tensor produced by `fill`
     /// into the reusable `tensor_buf`), and — when more than one
     /// triple survives — the peer-scoped anchored view built by `view`
@@ -310,10 +312,11 @@ impl KaryMWorkerEstimator {
         mut fill: impl FnMut(&mut Option<CountsTensor>, WorkerId, WorkerId),
         view: impl FnOnce(&[WorkerId]) -> A,
     ) -> Result<KaryWorkerAssessment> {
-        if src.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: src.n_workers(),
-                need: 3,
+        population(src.n_workers())?;
+        if worker.index() >= src.n_workers() {
+            return Err(EstimateError::UnknownWorker {
+                worker,
+                n_workers: src.n_workers(),
             });
         }
         let k = src.arity() as usize;

@@ -158,7 +158,8 @@ impl MWorkerEstimator {
         self.evaluate_workers_streaming(stream, workers, confidence)
     }
 
-    /// The evaluation body behind both entry points: pairing, the
+    /// The evaluation body behind every entry point: the population
+    /// and worker-id guards, pairing, the
     /// peer-scoped anchored view (built by `view` from the selected
     /// peer set, so it holds `O(peers)` mask rows — never
     /// `O(n_workers)`), one [`PeerGram`] pass answering every triple
@@ -175,10 +176,11 @@ impl MWorkerEstimator {
         gram_scratch: &mut PeerGramScratch,
         view: impl FnOnce(&[WorkerId]) -> A,
     ) -> Result<WorkerAssessment> {
-        if src.n_workers() < 3 {
-            return Err(EstimateError::NotEnoughWorkers {
-                got: src.n_workers(),
-                need: 3,
+        population(src.n_workers())?;
+        if worker.index() >= src.n_workers() {
+            return Err(EstimateError::UnknownWorker {
+                worker,
+                n_workers: src.n_workers(),
             });
         }
         let pairs = crate::pairing::form_pairs_limited(
