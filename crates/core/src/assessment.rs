@@ -159,29 +159,28 @@ mod tests {
     use crowd_data::PairCache;
     use crowd_sim::{BinaryScenario, rng};
 
-    const BAD: WorkerId = WorkerId(99);
-
-    fn unknown(e: &EstimateError) -> bool {
-        matches!(e, EstimateError::UnknownWorker { worker, n_workers: 5 } if *worker == BAD)
-    }
-
-    fn fleet() -> ResponseMatrix {
-        BinaryScenario::paper_default(5, 60, 0.9)
-            .generate(&mut rng(17))
-            .responses()
-            .clone()
-    }
-
     /// An out-of-range worker id is a typed failure on every per-anchor
     /// path — both trait evaluations, the indexed and streaming
-    /// drivers, the streaming evaluator and the report cache — for both
-    /// estimators, never an index panic; in-range anchors of the same
-    /// call are still evaluated, and a repeated cache lookup of the bad
-    /// id fails the same way.
+    /// drivers, the streaming evaluator, the report cache and each
+    /// estimator's own single-worker entry points — never an index
+    /// panic; in-range anchors of the same call are still evaluated,
+    /// and a repeated cache lookup of the bad id fails the same way.
     #[test]
     fn out_of_range_worker_is_a_typed_error_on_every_path() {
-        fn check<A: Assessment>() {
-            let data = fleet();
+        const BAD: WorkerId = WorkerId(99);
+        fn unknown(e: &EstimateError) -> bool {
+            matches!(e, EstimateError::UnknownWorker { worker, n_workers: 5 } if *worker == BAD)
+        }
+        let inst = BinaryScenario::paper_default(5, 60, 0.9).generate(&mut rng(17));
+        let data = inst.responses();
+        let index = OverlapIndex::from_matrix(data);
+        let stream = StreamingIndex::from_matrix(data);
+
+        fn check<A: Assessment>(
+            data: &ResponseMatrix,
+            index: &OverlapIndex,
+            stream: &StreamingIndex,
+        ) {
             let est = A::from_config(EstimatorConfig::default());
             let workers = [WorkerId(1), BAD];
             let only_bad_fails = |report: Report<A::Row>| {
@@ -191,55 +190,43 @@ mod tests {
                 assert!(unknown(&report.failures[0].1));
             };
 
-            let index = OverlapIndex::from_matrix(&data);
             let mut scratch = A::Scratch::default();
             assert!(unknown(
-                &est.assess_indexed(&index, BAD, 0.9, &mut scratch)
+                &est.assess_indexed(index, BAD, 0.9, &mut scratch)
                     .unwrap_err()
             ));
             for threads in [1, 2] {
                 only_bad_fails(
-                    est.evaluate_workers_indexed_parallel(&index, &workers, 0.9, threads)
+                    est.evaluate_workers_indexed_parallel(index, &workers, 0.9, threads)
                         .unwrap(),
                 );
             }
-            let stream = StreamingIndex::from_matrix(&data);
             assert!(unknown(
-                &est.assess_streaming(&stream, BAD, 0.9).unwrap_err()
+                &est.assess_streaming(stream, BAD, 0.9).unwrap_err()
             ));
             only_bad_fails(
-                est.evaluate_workers_streaming(&stream, &workers, 0.9)
+                est.evaluate_workers_streaming(stream, &workers, 0.9)
                     .unwrap(),
             );
 
-            let ev = Incremental::<A>::from_matrix(&data, EstimatorConfig::default());
+            let ev = Incremental::<A>::from_matrix(data, EstimatorConfig::default());
             assert!(unknown(&ev.evaluate_worker(BAD, 0.9).unwrap_err()));
 
             let mut cache = ReportCache::<A>::new();
             for _ in 0..2 {
-                only_bad_fails(cache.refresh(&est, &stream, &workers, 0.9).unwrap());
-                assert!(unknown(&cache.assess(&est, &stream, BAD, 0.9).unwrap_err()));
+                only_bad_fails(cache.refresh(&est, stream, &workers, 0.9).unwrap());
+                assert!(unknown(&cache.assess(&est, stream, BAD, 0.9).unwrap_err()));
             }
         }
-        check::<MWorkerEstimator>();
-        check::<KaryMWorkerEstimator>();
-    }
-
-    /// The estimators' own single-worker entry points — over the
-    /// matrix, a pair cache, any overlap substrate and a batch index —
-    /// report an out-of-range id the same way.
-    #[test]
-    fn out_of_range_worker_is_a_typed_error_on_estimator_entry_points() {
-        let data = fleet();
-        let index = OverlapIndex::from_matrix(&data);
-        let stream = StreamingIndex::from_matrix(&data);
+        check::<MWorkerEstimator>(data, &index, &stream);
+        check::<KaryMWorkerEstimator>(data, &index, &stream);
 
         let est = MWorkerEstimator::new(EstimatorConfig::default());
-        let pairs = PairCache::from_matrix(&data);
-        assert!(unknown(&est.evaluate_worker(&data, BAD, 0.9).unwrap_err()));
+        let pairs = PairCache::from_matrix(data);
+        assert!(unknown(&est.evaluate_worker(data, BAD, 0.9).unwrap_err()));
         for cache in [None, Some(&pairs)] {
             assert!(unknown(
-                &est.evaluate_worker_cached(&data, cache, BAD, 0.9)
+                &est.evaluate_worker_cached(data, cache, BAD, 0.9)
                     .unwrap_err()
             ));
         }
@@ -249,9 +236,8 @@ mod tests {
         assert!(unknown(
             &est.evaluate_worker_on(&stream, BAD, 0.9).unwrap_err()
         ));
-
         let kary = KaryMWorkerEstimator::new(EstimatorConfig::default());
-        assert!(unknown(&kary.evaluate_worker(&data, BAD, 0.9).unwrap_err()));
+        assert!(unknown(&kary.evaluate_worker(data, BAD, 0.9).unwrap_err()));
         assert!(unknown(
             &kary.evaluate_worker_indexed(&index, BAD, 0.9).unwrap_err()
         ));
